@@ -7,6 +7,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstddef>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -19,6 +20,17 @@ namespace perfbench {
 using Clock = std::chrono::steady_clock;
 
 double seconds_since(Clock::time_point t0);
+
+/// 64-bit FNV-1a over `n` bytes, continuing from `h`.
+inline std::uint64_t fnv1a(const void* data, std::size_t n,
+                           std::uint64_t h = 1469598103934665603ULL) {
+  const auto* p = static_cast<const unsigned char*>(data);
+  for (std::size_t i = 0; i < n; ++i) {
+    h ^= p[i];
+    h *= 1099511628211ULL;
+  }
+  return h;
+}
 
 // ---------------------------------------------------------------------------
 // Tracing: spans recorded around the calls the benchmark makes into each
@@ -127,6 +139,10 @@ class Workload {
   /// Largest relative error against the reference the workload
   /// reproduces; 0 when it has none.
   virtual double model_err() const { return 0.0; }
+  /// FNV-1a of the deterministic outputs of the warm-up pass, which every
+  /// later pass must reproduce.  It is compared with the value stored in
+  /// expected_outputs.txt for the run's seed.
+  virtual std::uint64_t output_hash() const = 0;
 };
 
 // Workload factories; `work_dir` is this process's private directory.

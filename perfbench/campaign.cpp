@@ -202,6 +202,9 @@ class McCampaign final : public Workload {
   }
 
   double model_err() const override { return model_err_; }
+  std::uint64_t output_hash() const override {
+    return fnv1a(reference_.data(), reference_.size());
+  }
 
  private:
   static constexpr int kThreads = 2;
@@ -286,6 +289,9 @@ class CampaignReplay final : public Workload {
   }
 
   double model_err() const override { return model_err_; }
+  std::uint64_t output_hash() const override {
+    return fnv1a(populated_.data(), populated_.size());
+  }
 
  private:
   Campaign campaign_;

@@ -7,9 +7,11 @@
 //
 // Set-up (building the workload's context, a warm-up pass, populating
 // caches) runs kSetupReps times, spread over the run; setup_s is the
-// median.  Timed passes repeat until S seconds have passed.  With
-// --trace 0 the last stdout line carries the end-to-end metrics (medians
-// per pass); with --trace 1 the passes alternate untraced/traced and it
+// median.  Each set-up's output hash is compared with the value stored in
+// expected_outputs.txt for the run's seed, when there is one.  Timed
+// passes repeat until S seconds have passed.  With --trace 0 the last
+// stdout line carries the end-to-end metrics (medians per pass); with
+// --trace 1 the passes alternate untraced/traced and it
 // carries the per-layer metrics plus trace.overhead.  Exit status is 0
 // only when every output check passed.
 #include <sched.h>
@@ -24,6 +26,8 @@
 #include <fstream>
 #include <iostream>
 #include <map>
+#include <optional>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 
@@ -36,21 +40,29 @@ namespace {
 struct Options {
   std::string workload;
   std::uint64_t seed = 1;
-  double seconds = 10.0;
+  double seconds = 0.0;  ///< required
   bool trace = false;
 };
 
 using Factory = std::unique_ptr<Workload> (*)(std::uint64_t seed,
                                               const std::string& work_dir);
 
-const std::map<std::string, Factory>& workloads() {
-  static const std::map<std::string, Factory> table = {
+struct WorkloadEntry {
+  Factory make;
+  /// Threads the set-up runs (its warm-up pass, or populating the cache);
+  /// it is pinned to this many vCPUs.
+  int setup_threads;
+};
+
+const std::map<std::string, WorkloadEntry>& workloads() {
+  static const std::map<std::string, WorkloadEntry> table = {
       {"paper_repro",
-       [](std::uint64_t, const std::string&) { return make_paper_repro(); }},
-      {"mc_campaign", make_mc_campaign},
-      {"campaign_replay", make_campaign_replay},
+       {[](std::uint64_t, const std::string&) { return make_paper_repro(); }, 1}},
+      {"mc_campaign", {make_mc_campaign, 2}},
+      {"campaign_replay", {make_campaign_replay, 2}},
       {"sweep3d",
-       [](std::uint64_t seed, const std::string&) { return make_sweep3d(seed); }},
+       {[](std::uint64_t seed, const std::string&) { return make_sweep3d(seed); },
+        2}},
   };
   return table;
 }
@@ -105,9 +117,7 @@ const std::vector<LayerMetric>& layer_metrics() {
 // Work, cache and trace files live here, inside the checkout the
 // benchmark runs from.
 constexpr const char* kWorkRoot = ".bench_build/work";
-constexpr std::size_t kSetupReps = 3;
-// No workload runs more threads than this, set-up included.
-constexpr int kMaxThreads = 2;
+constexpr std::size_t kSetupReps = 7;
 constexpr int kMinPasses = 6;
 
 double cpu_seconds() {
@@ -172,6 +182,32 @@ void pin_to_fastest_cpus(int k) {
   ::sched_setaffinity(0, sizeof set, &set);
 }
 
+/// The output hash stored for `workload` and `seed` ("*" matches every
+/// seed), if any.  Lines are "<workload> <seed|*> <hex hash>"; '#' starts
+/// a comment.
+std::optional<std::uint64_t> expected_hash(const std::string& workload,
+                                           std::uint64_t seed) {
+  std::ifstream is(RR_PERFBENCH_EXPECTED_FILE);
+  if (!is)
+    throw std::runtime_error("cannot read " +
+                             std::string(RR_PERFBENCH_EXPECTED_FILE));
+  std::string line;
+  while (std::getline(is, line)) {
+    std::istringstream fields(line.substr(0, line.find('#')));
+    std::string name, key, hash;
+    if (!(fields >> name >> key >> hash)) continue;
+    if (name == workload && (key == "*" || key == std::to_string(seed)))
+      return std::stoull(hash, nullptr, 16);
+  }
+  return std::nullopt;
+}
+
+std::string hex(std::uint64_t v) {
+  char buf[24];
+  std::snprintf(buf, sizeof buf, "%016llx", static_cast<unsigned long long>(v));
+  return buf;
+}
+
 std::string number(double v) {
   if (!std::isfinite(v)) v = 0.0;
   char buf[40];
@@ -191,7 +227,8 @@ Options parse(int argc, char** argv) {
     else if (arg == "--trace") opt.trace = value == "1";
     else throw std::invalid_argument("unknown argument " + arg);
   }
-  if (opt.seconds <= 0) throw std::invalid_argument("--seconds must be > 0");
+  if (opt.seconds <= 0)
+    throw std::invalid_argument("--seconds is required and must be > 0");
   return opt;
 }
 
@@ -201,18 +238,24 @@ struct Metric {
 };
 
 int run(const Options& opt, const std::string& work_dir) {
+  const WorkloadEntry& entry = workloads().at(opt.workload);
+  const std::optional<std::uint64_t> expected =
+      expected_hash(opt.workload, opt.seed);
   Tracer tracer;
   Layers layers;
   Tally tally;
   std::unique_ptr<Workload> wl;
+  std::uint64_t output_hash = 0;
   std::vector<double> setups, wall, cpu, traced_wall;
   const auto set_up = [&] {
     wl.reset();
-    pin_to_fastest_cpus(kMaxThreads);
+    pin_to_fastest_cpus(entry.setup_threads);
     const auto t0 = Clock::now();
-    wl = workloads().at(opt.workload)(opt.seed, work_dir);
+    wl = entry.make(opt.seed, work_dir);
     setups.push_back(seconds_since(t0));
     tally += wl->check(nullptr, PassTrace{});
+    output_hash = wl->output_hash();
+    if (expected) tally += Tally{1, output_hash == *expected ? 0U : 1U};
   };
 
   set_up();
@@ -271,7 +314,10 @@ int run(const Options& opt, const std::string& work_dir) {
                                            ? static_cast<double>(tally.failed) /
                                                  static_cast<double>(tally.attempted)
                                            : 1.0)
-            << " (" << tally.failed << "/" << tally.attempted << ")\n";
+            << " (" << tally.failed << "/" << tally.attempted << ")\n"
+            << "output_hash " << hex(output_hash) << " expected "
+            << (expected ? hex(*expected) : "none stored for this seed")
+            << "\n";
   if (!opt.trace) std::cout << "model_err " << number(model_err) << " ratio\n";
   for (const Metric& m : out)
     std::cout << m.name << " " << number(m.value) << " " << m.unit << "\n";

@@ -7,7 +7,8 @@
 Run from the repository root.  The benchmark (perfbench/, a CMake package of
 its own) is built in Release mode from ../src into .bench_build/perfbench;
 work and cache directories go under .bench_build/work.  Nothing is read or
-written outside the checkout.
+written outside the checkout.  --seconds defaults to run_seconds in
+BENCHMARK.json.
 
 The last line of standard output is one JSON object with the keys
 correct, attempted, failed and metrics.  The exit status is non-zero when
@@ -20,7 +21,6 @@ min/max and the quartile spread as a share of the median.
 import argparse
 import json
 import os
-import shutil
 import statistics
 import subprocess
 import sys
@@ -33,24 +33,18 @@ BINARY = BUILD / "rr_perfbench"
 
 
 def build():
-    """Configure (once) and build; compiler output goes to stderr."""
+    """Configure and build; compiler output goes to stderr."""
     TMP.mkdir(parents=True, exist_ok=True)
     env = dict(os.environ, TMPDIR=str(TMP))
+    steps = [["cmake", "-S", str(ROOT / "perfbench"), "-B", str(BUILD),
+              "-DCMAKE_BUILD_TYPE=Release"],
+             ["cmake", "--build", str(BUILD), "-j", "4"]]
+    return all(subprocess.run(cmd, stdout=sys.stderr, env=env).returncode == 0
+               for cmd in steps)
 
-    def attempt():
-        steps = [["cmake", "-S", str(ROOT / "perfbench"), "-B", str(BUILD),
-                  "-DCMAKE_BUILD_TYPE=Release"],
-                 ["cmake", "--build", str(BUILD), "-j", "4"]]
-        for cmd in steps:
-            if subprocess.run(cmd, stdout=sys.stderr, env=env).returncode:
-                return False
-        return True
 
-    if attempt():
-        return True
-    # A build tree configured for another source directory: start over.
-    shutil.rmtree(BUILD, ignore_errors=True)
-    return attempt()
+def default_seconds():
+    return json.loads((ROOT / "BENCHMARK.json").read_text())["run_seconds"]
 
 
 def command(args, seed, capture):
@@ -98,12 +92,16 @@ def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--seconds", type=float, default=10)
+    parser.add_argument("--seconds", type=float, default=None,
+                        help="seconds per run (default: run_seconds in "
+                             "BENCHMARK.json)")
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     parser.add_argument("--repeat", type=int, default=0,
                         help="run N processes with consecutive seeds and "
                              "summarize each metric")
     args = parser.parse_args()
+    if args.seconds is None:
+        args.seconds = default_seconds()
 
     if not build():
         print("perfbench: build failed", file=sys.stderr)
