@@ -1,6 +1,8 @@
 #include "sweep/cml_sweep.hpp"
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
 
 #include "sweep/diamond.hpp"
 #include "sweep/quadrature.hpp"
@@ -8,11 +10,9 @@
 
 namespace rr::sweep {
 
-namespace {
-int plane_tag(int octant, int angle, int block, int axis) {
-  return ((octant * 8 + angle) * 4096 + block) * 2 + axis;
+int plane_tag(const KbaConfig& cfg, int octant, int angle, int block, int axis) {
+  return ((octant * kAnglesPerOctant + angle) * cfg.mk + block) * 2 + axis;
 }
-}  // namespace
 
 CmlSweepResult sweep_once_cml(const Problem& p, const std::vector<double>& emission,
                               const KbaConfig& cfg, cml::CmlWorld& world,
@@ -23,6 +23,7 @@ CmlSweepResult sweep_once_cml(const Problem& p, const std::vector<double>& emiss
   RR_EXPECTS(p.nz % cfg.mk == 0);
   RR_EXPECTS(emission.size() == p.cells());
   RR_EXPECTS(world.size() >= cfg.ranks());
+  RR_EXPECTS(cfg.mk <= std::numeric_limits<int>::max() / (2 * kOctants * kAnglesPerOctant));
 
   const int bx = p.nx / cfg.px;
   const int by = p.ny / cfg.py;
@@ -46,8 +47,9 @@ CmlSweepResult sweep_once_cml(const Problem& p, const std::vector<double>& emiss
     const int ib = pi * bx;
     const int jb = pj * by;
 
-    std::vector<double> x_in(static_cast<std::size_t>(by) * kb);
-    std::vector<double> y_in(static_cast<std::size_t>(bx) * kb);
+    const std::size_t x_size = static_cast<std::size_t>(by) * kb;
+    const std::size_t y_size = static_cast<std::size_t>(bx) * kb;
+    std::vector<double> x_in(x_size), y_in(y_size);
     std::vector<double> z_in(static_cast<std::size_t>(bx) * by);
 
     for (int oc = 0; oc < kOctants; ++oc) {
@@ -63,82 +65,44 @@ CmlSweepResult sweep_once_cml(const Problem& p, const std::vector<double>& emiss
 
       for (int a = 0; a < kAnglesPerOctant; ++a) {
         const Direction& d = angles[a];
-        const double cx = d.mu / p.dx;
-        const double cy = d.eta / p.dy;
-        const double cz = d.xi / p.dz;
         std::fill(z_in.begin(), z_in.end(), 0.0);
-
+        double leak = 0.0;  // summed as in the threaded ranks
         for (int b = 0; b < cfg.mk; ++b) {
           const int kblock = o.sz > 0 ? b : cfg.mk - 1 - b;
-          const int kfirst = o.sz > 0 ? kblock * kb : kblock * kb + kb - 1;
-
-          if (has_up_x) {
-            const cml::Message m =
-                co_await ctx.recv(pj * cfg.px + up_pi, plane_tag(oc, a, b, 0));
-            RR_ASSERT(m.payload.size() == x_in.size());
-            x_in = m.payload;
-          } else {
+          if (has_up_x)
+            x_in = (co_await ctx.recv(pj * cfg.px + up_pi, plane_tag(cfg, oc, a, b, 0))).payload;
+          else
             std::fill(x_in.begin(), x_in.end(), 0.0);
-          }
-          if (has_up_y) {
-            const cml::Message m =
-                co_await ctx.recv(up_pj * cfg.px + pi, plane_tag(oc, a, b, 1));
-            RR_ASSERT(m.payload.size() == y_in.size());
-            y_in = m.payload;
-          } else {
+          if (has_up_y)
+            y_in = (co_await ctx.recv(up_pj * cfg.px + pi, plane_tag(cfg, oc, a, b, 1))).payload;
+          else
             std::fill(y_in.begin(), y_in.end(), 0.0);
-          }
+          RR_ASSERT(x_in.size() == x_size && y_in.size() == y_size);
 
           // Real diamond-difference block computation, charged to the SPE
           // at the calibrated per-(cell,angle) rate.
-          std::uint64_t block_fixups = 0;
-          for (int kk = 0; kk < kb; ++kk) {
-            const int k = kfirst + o.sz * kk;
-            for (int jj = 0; jj < by; ++jj) {
-              const int j = o.sy > 0 ? jb + jj : jb + by - 1 - jj;
-              for (int ii = 0; ii < bx; ++ii) {
-                const int i = o.sx > 0 ? ib + ii : ib + bx - 1 - ii;
-                const std::size_t cell = p.idx(i, j, k);
-                double& ixf = x_in[static_cast<std::size_t>(kk) * by + (j - jb)];
-                double& iyf = y_in[static_cast<std::size_t>(kk) * bx + (i - ib)];
-                double& izf = z_in[static_cast<std::size_t>(j - jb) * bx + (i - ib)];
-                const detail::CellUpdate u = detail::diamond_cell(
-                    emission[cell], p.sigma_t, cx, cy, cz, ixf, iyf, izf,
-                    p.flux_fixup);
-                result.sweep.scalar_flux[cell] += d.weight * u.psi;
-                block_fixups += u.fixups;
-                ixf = u.out_x;
-                iyf = u.out_y;
-                izf = u.out_z;
-              }
-            }
-          }
-          result.sweep.fixups += block_fixups;
+          const std::size_t first =
+              (static_cast<std::size_t>(kblock) * kb * p.ny + jb) * p.nx + ib;
+          const detail::Block block{bx, by, kb, static_cast<std::size_t>(p.nx),
+                                    static_cast<std::size_t>(p.nx) * p.ny,
+                                    emission.data() + first,
+                                    result.sweep.scalar_flux.data() + first,
+                                    x_in.data(), y_in.data(), z_in.data()};
+          result.sweep.fixups += detail::sweep_block(block, p, o, d);
           co_await sim::Delay{world.simulator(),
                               per_cell_angle * (static_cast<std::int64_t>(bx) * by * kb)};
 
-          if (has_dn_x) {
-            std::vector<double> plane = x_in;
-            co_await ctx.send(pj * cfg.px + dn_pi, plane_tag(oc, a, b, 0),
-                              std::move(plane));
-          } else {
-            double leak = 0.0;
+          if (has_dn_x)
+            co_await ctx.send(pj * cfg.px + dn_pi, plane_tag(cfg, oc, a, b, 0), x_in);
+          else
             for (const double v : x_in) leak += d.mu * ax * v;
-            result.sweep.leakage += d.weight * leak;
-          }
-          if (has_dn_y) {
-            std::vector<double> plane = y_in;
-            co_await ctx.send(dn_pj * cfg.px + pi, plane_tag(oc, a, b, 1),
-                              std::move(plane));
-          } else {
-            double leak = 0.0;
+          if (has_dn_y)
+            co_await ctx.send(dn_pj * cfg.px + pi, plane_tag(cfg, oc, a, b, 1), y_in);
+          else
             for (const double v : y_in) leak += d.eta * ay * v;
-            result.sweep.leakage += d.weight * leak;
-          }
         }
-        double leak = 0.0;
         for (const double v : z_in) leak += d.xi * az * v;
-        result.sweep.leakage += d.weight * leak;
+        result.sweep.leakage += d.weight * std::abs(leak);
       }
     }
   };

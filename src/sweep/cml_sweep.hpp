@@ -19,6 +19,10 @@ struct CmlSweepResult {
   int ranks = 0;
 };
 
+/// The tag of the boundary plane a rank sends for (octant, angle,
+/// K-block, axis): dense, so distinct for every mk that fits an int.
+int plane_tag(const KbaConfig& cfg, int octant, int angle, int block, int axis);
+
 /// One full sweep (all octants/angles) with the given emission, on a
 /// px x py rank array inside `world` (ranks are SPE ranks; world.size()
 /// must be >= cfg.ranks()).  `per_cell_angle` is the SPE compute cost

@@ -1,46 +1,45 @@
-// The diamond-difference cell update shared by the serial and KBA solvers.
+// The Sn block kernel that every sweep runs: serial, KBA and CML.
 //
-// Solves, for one cell and one discrete direction, the balance equation
+// Each cell solves, for one discrete direction, the balance equation
 //   sigma_t * psi * V + sum_d c_d * (psi_out_d - psi_in_d) * V = emission * V
 // closed with the diamond relation psi_out_d = 2 psi - psi_in_d, where
 // c_x = |mu|/dx etc.  The set-to-zero negative-flux fixup removes a face
 // from the closure and re-solves, preserving particle balance exactly.
+//
+// A cell's division waits on its upstream neighbour's outflow, so one row
+// swept cell by cell pays the full latency of every division.  The kernel
+// sweeps several rows at once, skewed by one cell per row: cell (i, j) of
+// a row and cell (i - 1, j + 1) of the next are independent, so that many
+// recurrences are in flight.  Every cell still sees the same operands,
+// and each cell's flux still accumulates in octant-then-angle order, so
+// the result is bitwise that of the plain triple loop.
 #pragma once
+
+#include <cstdint>
+
+#include "sweep/quadrature.hpp"
+#include "sweep/solver.hpp"
 
 namespace rr::sweep::detail {
 
-struct CellUpdate {
-  double psi = 0.0;  ///< cell-average angular flux
-  double out_x = 0.0, out_y = 0.0, out_z = 0.0;
-  int fixups = 0;
+/// One block of cells, the per-cell arrays it reads and writes, and its
+/// inflow planes, all in block-local coordinates: cell (i, j, k) is
+/// element k * plane + j * row + i of `emission` and `flux`; the planes
+/// are x[k * by + j], y[k * bx + i] and z[j * bx + i].  The sweep leaves
+/// the outflow in the planes.
+struct Block {
+  int bx = 0, by = 0, kb = 0;
+  std::size_t row = 0, plane = 0;
+  const double* emission = nullptr;
+  double* flux = nullptr;
+  double* x = nullptr;
+  double* y = nullptr;
+  double* z = nullptr;
 };
 
-inline CellUpdate diamond_cell(double emission, double sigma_t, double cx,
-                               double cy, double cz, double in_x, double in_y,
-                               double in_z, bool fixup) {
-  CellUpdate u;
-  bool fx = false, fy = false, fz = false;  // faces forced to zero
-  for (int pass = 0; pass < 4; ++pass) {
-    double num = emission;
-    double den = sigma_t;
-    num += fx ? cx * in_x : 2.0 * cx * in_x;
-    num += fy ? cy * in_y : 2.0 * cy * in_y;
-    num += fz ? cz * in_z : 2.0 * cz * in_z;
-    if (!fx) den += 2.0 * cx;
-    if (!fy) den += 2.0 * cy;
-    if (!fz) den += 2.0 * cz;
-    u.psi = num / den;
-    u.out_x = fx ? 0.0 : 2.0 * u.psi - in_x;
-    u.out_y = fy ? 0.0 : 2.0 * u.psi - in_y;
-    u.out_z = fz ? 0.0 : 2.0 * u.psi - in_z;
-    if (!fixup) return u;
-    bool changed = false;
-    if (u.out_x < 0.0 && !fx) { fx = true; changed = true; ++u.fixups; }
-    if (u.out_y < 0.0 && !fy) { fy = true; changed = true; ++u.fixups; }
-    if (u.out_z < 0.0 && !fz) { fz = true; changed = true; ++u.fixups; }
-    if (!changed) return u;
-  }
-  return u;
-}
+/// Sweeps the block along one direction of octant `o`, adding
+/// weight * psi to each cell's flux; returns the fixup count.
+std::uint64_t sweep_block(const Block& b, const Problem& p, const Octant& o,
+                          const Direction& d);
 
 }  // namespace rr::sweep::detail

@@ -1,13 +1,13 @@
 // Thread-parallel Sweep3D with the KBA (Koch-Baker-Alcouffe) wavefront
 // decomposition used by the paper (Section V.A): the grid is decomposed
 // over a logical 2-D px x py processor array in I and J; the K dimension
-// is split into K/MK blocks, the unit of pipelined work.  Each rank is a
-// std::thread; boundary angular fluxes move through FIFO channels exactly
-// like the MPI version's boundary exchanges.
+// is split into K/MK blocks, the unit of pipelined work.  Each rank is one
+// thread for the whole sweep or solve; boundary angular fluxes move through
+// preallocated plane rings like the MPI version's boundary exchanges.
 //
-// The parallel sweep is bitwise-identical to the serial solver: diamond
-// differencing is a pure upstream recurrence, so cell updates see the same
-// operands in the same order regardless of the decomposition.
+// The parallel sweep is bitwise-identical to the serial solver, which is
+// this runtime on one rank: diamond differencing is a pure upstream
+// recurrence, so cells see the same operands in the same order.
 #pragma once
 
 #include "sweep/solver.hpp"

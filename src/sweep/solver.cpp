@@ -1,109 +1,19 @@
 #include "sweep/solver.hpp"
 
-#include <algorithm>
 #include <cmath>
 
-#include "sweep/diamond.hpp"
+#include "sweep/kba.hpp"
 
 namespace rr::sweep {
 
-using detail::diamond_cell;
-using detail::CellUpdate;
-
+// The serial solver is the rank runtime of kba.cpp on one rank, with one
+// K-block: the whole grid is a single block of the shared kernel.
 SweepResult sweep_once(const Problem& p, const std::vector<double>& emission) {
-  RR_EXPECTS(p.nx > 0 && p.ny > 0 && p.nz > 0);
-  RR_EXPECTS(emission.size() == p.cells());
-
-  SweepResult r;
-  r.scalar_flux.assign(p.cells(), 0.0);
-
-  const auto angles = s6_octant_angles();
-  const double ax = p.dy * p.dz;  // face areas
-  const double ay = p.dx * p.dz;
-  const double az = p.dx * p.dy;
-
-  // Inflow planes carried through the sweep for the current angle.
-  std::vector<double> psi_x(static_cast<std::size_t>(p.ny) * p.nz);
-  std::vector<double> psi_y(static_cast<std::size_t>(p.nx) * p.nz);
-  std::vector<double> psi_z(static_cast<std::size_t>(p.nx) * p.ny);
-
-  for (int oc = 0; oc < kOctants; ++oc) {
-    const Octant o = octant(oc);
-    for (const Direction& d : angles) {
-      const double cx = d.mu / p.dx;
-      const double cy = d.eta / p.dy;
-      const double cz = d.xi / p.dz;
-      std::fill(psi_x.begin(), psi_x.end(), 0.0);  // vacuum boundaries
-      std::fill(psi_y.begin(), psi_y.end(), 0.0);
-      std::fill(psi_z.begin(), psi_z.end(), 0.0);
-
-      const int i0 = o.sx > 0 ? 0 : p.nx - 1;
-      const int j0 = o.sy > 0 ? 0 : p.ny - 1;
-      const int k0 = o.sz > 0 ? 0 : p.nz - 1;
-      for (int kk = 0; kk < p.nz; ++kk) {
-        const int k = k0 + o.sz * kk;
-        for (int jj = 0; jj < p.ny; ++jj) {
-          const int j = j0 + o.sy * jj;
-          for (int ii = 0; ii < p.nx; ++ii) {
-            const int i = i0 + o.sx * ii;
-            const std::size_t cell = p.idx(i, j, k);
-            double& ix = psi_x[static_cast<std::size_t>(k) * p.ny + j];
-            double& iy = psi_y[static_cast<std::size_t>(k) * p.nx + i];
-            double& iz = psi_z[static_cast<std::size_t>(j) * p.nx + i];
-            const CellUpdate u = diamond_cell(emission[cell], p.sigma_t, cx, cy,
-                                              cz, ix, iy, iz, p.flux_fixup);
-            r.scalar_flux[cell] += d.weight * u.psi;
-            r.fixups += u.fixups;
-            ix = u.out_x;
-            iy = u.out_y;
-            iz = u.out_z;
-          }
-        }
-      }
-      // Whatever remains in the inflow planes is outflow through the three
-      // downstream boundary faces of this octant.
-      double leak = 0.0;
-      for (const double v : psi_x) leak += d.mu * ax * v;
-      for (const double v : psi_y) leak += d.eta * ay * v;
-      for (const double v : psi_z) leak += d.xi * az * v;
-      r.leakage += d.weight * std::abs(leak);
-    }
-  }
-  return r;
+  return sweep_once_kba(p, emission, KbaConfig{1, 1, 1});
 }
 
 SolveResult solve(const Problem& p, double epsi, int max_iters) {
-  RR_EXPECTS(epsi > 0.0);
-  RR_EXPECTS(max_iters >= 1);
-
-  SolveResult out;
-  std::vector<double> phi(p.cells(), 0.0);
-  std::vector<double> emission(p.cells());
-
-  for (int it = 1; it <= max_iters; ++it) {
-    for (std::size_t c = 0; c < p.cells(); ++c)
-      emission[c] = p.source_at(c) + p.sigma_s * phi[c];
-    SweepResult sw = sweep_once(p, emission);
-    // Relative change with a floor tied to the peak flux, so cells many
-    // mean free paths from the source (flux ~ 0) do not stall convergence.
-    double peak = 0.0;
-    for (const double f : sw.scalar_flux) peak = std::max(peak, std::abs(f));
-    double max_rel = 0.0;
-    for (std::size_t c = 0; c < p.cells(); ++c) {
-      const double denom = std::max(std::abs(sw.scalar_flux[c]), 1e-12 * peak);
-      max_rel = std::max(max_rel, std::abs(sw.scalar_flux[c] - phi[c]) / denom);
-    }
-    phi = sw.scalar_flux;
-    out.leakage = sw.leakage;
-    out.iterations = it;
-    out.residual = max_rel;
-    if (max_rel < epsi) {
-      out.converged = true;
-      break;
-    }
-  }
-  out.scalar_flux = std::move(phi);
-  return out;
+  return solve_kba(p, KbaConfig{1, 1, 1}, epsi, max_iters);
 }
 
 double balance_residual(const Problem& p, const SolveResult& r) {

@@ -3,6 +3,7 @@
 #include "topo/fat_tree.hpp"
 #include "model/sweep_model.hpp"
 #include "sweep/cml_sweep.hpp"
+#include "sweep_cases.hpp"
 
 namespace rr::sweep {
 namespace {
@@ -123,6 +124,58 @@ TEST(CmlSweep, CrossNodeRanksStillBitwiseCorrect) {
   const SweepResult serial = sweep_once(p, emission);
   for (std::size_t c = 0; c < serial.scalar_flux.size(); ++c)
     ASSERT_EQ(r.sweep.scalar_flux[c], serial.scalar_flux[c]);
+}
+
+class CmlDifferential : public ::testing::TestWithParam<cases::DiffCase> {};
+
+TEST_P(CmlDifferential, SerialKbaAndCmlAgreeBitwise) {
+  const cases::DiffCase& c = GetParam();
+  const SweepResult serial = sweep_once(c.problem, c.emission);
+  const SweepResult threads = sweep_once_kba(c.problem, c.emission, c.cfg);
+  CmlSweepFixture f;
+  const CmlSweepResult over_cml =
+      sweep_once_cml(c.problem, c.emission, c.cfg, f.world, spe_rate());
+  ASSERT_EQ(over_cml.sweep.scalar_flux, serial.scalar_flux);
+  ASSERT_EQ(threads.scalar_flux, serial.scalar_flux);
+  EXPECT_EQ(over_cml.sweep.fixups, serial.fixups);
+  EXPECT_EQ(threads.fixups, serial.fixups);
+  if (c.name == "FixupHeavy") {
+    EXPECT_GT(serial.fixups, 0u);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Cases, CmlDifferential,
+                         ::testing::ValuesIn(cases::diff_cases()),
+                         [](const auto& inf) { return inf.param.name; });
+
+TEST(CmlSweep, PlaneTagsAreDistinctPastA12BitBlockField) {
+  const KbaConfig cfg{2, 2, 5000};
+  const int count = kOctants * kAnglesPerOctant * cfg.mk * 2;
+  std::vector<bool> seen(static_cast<std::size_t>(count), false);
+  for (int oc = 0; oc < kOctants; ++oc)
+    for (int a = 0; a < kAnglesPerOctant; ++a)
+      for (int b = 0; b < cfg.mk; ++b)
+        for (int axis = 0; axis < 2; ++axis) {
+          const int tag = plane_tag(cfg, oc, a, b, axis);
+          ASSERT_TRUE(tag >= 0 && tag < count && !seen[static_cast<std::size_t>(tag)])
+              << oc << " " << a << " " << b << " " << axis;
+          seen[static_cast<std::size_t>(tag)] = true;
+        }
+}
+
+TEST(CmlSweep, MoreThan4096KBlocksStayBitwiseCorrect) {
+  // One cell per K-block: block indices run past 4096 and every plane
+  // must still reach the receive posted for it.
+  Problem p = tiny_problem();
+  p.nx = 2;
+  p.ny = 1;
+  p.nz = 4100;
+  const std::vector<double> emission = cases::seeded_field(p, 3);
+  const KbaConfig cfg{2, 1, p.nz};
+  CmlSweepFixture f;
+  const CmlSweepResult r = sweep_once_cml(p, emission, cfg, f.world, spe_rate());
+  EXPECT_EQ(r.sweep.scalar_flux, sweep_once(p, emission).scalar_flux);
+  EXPECT_GE(r.messages, 8ull * 6 * cfg.mk);
 }
 
 }  // namespace

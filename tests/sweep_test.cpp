@@ -7,9 +7,12 @@
 #include "sweep/quadrature.hpp"
 #include "sweep/schedule.hpp"
 #include "sweep/solver.hpp"
+#include "sweep_cases.hpp"
 
 namespace rr::sweep {
 namespace {
+
+using cases::DiffCase;
 
 Problem small_problem(int n = 8) {
   Problem p;
@@ -100,6 +103,42 @@ TEST(SerialSweep, ParticleBalanceHoldsWithFixupsActive) {
   const SolveResult r = solve(p, 1e-10, 500);
   ASSERT_TRUE(r.converged);
   EXPECT_LT(balance_residual(p, r), 1e-7);
+}
+
+// Every bit of a seeded solve (fluxes, leakage, residual, iteration
+// count), with and without the fixup path, pinned so that any drift of
+// the kernel fails here.  Unequal cell sides keep the three face terms
+// from rounding alike.  Both values come from the unskewed loop that the
+// block kernel replaced.
+std::uint64_t solve_hash(const Problem& p, double epsi, int max_iters) {
+  const SolveResult r = solve(p, epsi, max_iters);
+  std::uint64_t h = cases::fnv1a(r.scalar_flux.data(),
+                                 r.scalar_flux.size() * sizeof(double));
+  h = cases::fnv1a(&r.leakage, sizeof r.leakage, h);
+  h = cases::fnv1a(&r.residual, sizeof r.residual, h);
+  return cases::fnv1a(&r.iterations, sizeof r.iterations, h);
+}
+
+TEST(SerialSweep, SeededSolveMatchesPinnedHash) {
+  Problem p = cases::grid(12, 10, 8);
+  p.dx = 0.37;
+  p.dy = 0.53;
+  p.dz = 0.71;
+  p.sigma_t = 1.3;
+  p.sigma_s = 0.6;
+  p.q = cases::seeded_field(p, 1);
+  EXPECT_EQ(solve_hash(p, 1e-8, 200), 0x8485bc2b85ef9b3du);
+
+  Problem thick = cases::fixup_heavy();
+  thick.dx = 5.0;
+  thick.dy = 6.5;
+  thick.dz = 4.3;
+  ASSERT_GT(sweep_once(thick, thick.q).fixups, 0u);
+  EXPECT_EQ(solve_hash(thick, 1e-10, 500), 0x77744d430ff12952u);
+}
+
+TEST(SerialSweep, RejectsZeroIterations) {
+  EXPECT_DEATH(solve(small_problem(), 1e-6, 0), "Precondition");
 }
 
 TEST(SerialSweep, InfiniteMediumLimit) {
@@ -209,6 +248,39 @@ TEST(KbaSolve, BalanceHoldsInParallel) {
   const SolveResult r = solve_kba(p, KbaConfig{2, 2, 4}, 1e-10, 500);
   ASSERT_TRUE(r.converged);
   EXPECT_LT(balance_residual(p, r), 1e-7);
+}
+
+class KbaDifferential : public ::testing::TestWithParam<DiffCase> {};
+
+TEST_P(KbaDifferential, SweepBitwiseIdenticalToSerial) {
+  const DiffCase& c = GetParam();
+  const SweepResult serial = sweep_once(c.problem, c.emission);
+  const SweepResult par = sweep_once_kba(c.problem, c.emission, c.cfg);
+  ASSERT_EQ(par.scalar_flux, serial.scalar_flux);
+  EXPECT_EQ(par.fixups, serial.fixups);
+  if (c.name == "FixupHeavy") {
+    EXPECT_GT(serial.fixups, 0u);
+  }
+}
+
+TEST_P(KbaDifferential, SolveBitwiseIdenticalToSerial) {
+  const DiffCase& c = GetParam();
+  const SolveResult serial = solve(c.problem, 1e-9, 500);
+  const SolveResult par = solve_kba(c.problem, c.cfg, 1e-9, 500);
+  ASSERT_TRUE(serial.converged);
+  EXPECT_EQ(par.converged, serial.converged);
+  EXPECT_EQ(par.iterations, serial.iterations);
+  EXPECT_EQ(par.residual, serial.residual);
+  ASSERT_EQ(par.scalar_flux, serial.scalar_flux);
+}
+
+INSTANTIATE_TEST_SUITE_P(Cases, KbaDifferential,
+                         ::testing::ValuesIn(cases::diff_cases()),
+                         [](const auto& inf) { return inf.param.name; });
+
+TEST(KbaSolve, RejectsZeroIterations) {
+  EXPECT_DEATH(solve_kba(small_problem(), KbaConfig{2, 2, 2}, 1e-6, 0),
+               "Precondition");
 }
 
 TEST(KbaSolve, RejectsNonDividingDecomposition) {
