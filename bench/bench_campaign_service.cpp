@@ -1,41 +1,32 @@
-// Driver for the sharded campaign service (DESIGN.md §11; not a paper
-// figure).  Runs a Monte-Carlo interrupted-HPL campaign through
-// campaign::run_campaign -- coordinator + N forked workers, per-shard
-// journals, work-stealing, crash respawn, and the content-addressed
-// result cache -- and exits with the fault::ExitCode of the outcome
-// (0 clean / 3 degraded / 4 failure-budget-exceeded).
+// Driver for the campaign service (DESIGN.md §11; not a paper figure).
+// Runs a Monte-Carlo interrupted-HPL campaign through
+// campaign::run_campaign -- result-cache lookup, a journaled resilient
+// run on the SweepEngine thread pool, cache publish -- and exits with
+// the fault::ExitCode of the outcome (0 clean / 3 degraded /
+// 4 failure-budget-exceeded / 137 killed by RR_CRASH_AFTER_N).
 //
-// CI drives it three ways (see .github/workflows/ci.yml, campaign-smoke):
-//   * N workers with --crash-shard armed: one worker dies mid-shard via
-//     the journal crash hook, is respawned, and the merged result must be
-//     byte-identical to a 1-worker run of the same campaign;
-//   * a repeat invocation with --cache-dir: served entirely from the
-//     cache ("cache=hit ..."), bytes verbatim;
-//   * the same campaign under --workers=0 (in-process, sanitizer-safe).
+// CI drives it (see .github/workflows/ci.yml, campaign-smoke) through a
+// reference run, a run killed by RR_CRASH_AFTER_N=5, a rerun on the same
+// work dir that resumes the five journaled scenarios and must match the
+// reference byte for byte, a repeat query served verbatim from the cache
+// ("cache=hit ..."), and a --fail-index run that exits degraded and
+// leaves its flight-recorder postmortem behind.
 //
 //   bench_campaign_service --work-dir=PATH [--cache-dir=PATH]
-//       [--workers=3] [--scenarios=24] [--replications=400] [--seed=42]
-//       [--chunk=4] [--threads-per-worker=1] [--budget=-1]
-//       [--deadline-ms=0] [--slow-ms=0] [--slow-first=-1]
-//       [--crash-shard=-1] [--crash-after=0] [--out=PATH] [--report=PATH]
-//       [--trace=PATH] [--flightrec=PATH] [--fail-index=-1]
-//       [--chaos-seed=0] [--chaos-rate=0.05]
+//       [--scenarios=24] [--replications=400] [--seed=42]
+//       [--threads-per-worker=1] [--budget=-1] [--deadline-ms=0]
+//       [--out=PATH] [--report=PATH] [--trace=PATH] [--flightrec=PATH]
+//       [--fail-index=-1] [--chaos-seed=0] [--chaos-rate=0.05]
 //
-// --slow-ms pads every scenario; --slow-first=K restricts the padding to
-// scenarios with index < K, which piles the work onto the first shard and
-// exercises work-stealing (the padding does not change the results --
-// scenario metrics depend only on the seed).
-//
-// Fleet observability knobs (DESIGN.md §15): --trace merges every
-// process's Chrome trace into one file; --flightrec pins the crash
-// flight recorder's dump path (defaults to work_dir/flightrec.json);
-// --fail-index=K makes scenario K permanently fail, a deterministic
-// degraded run that leaves a postmortem behind; --chaos-seed installs a
-// seeded fault-injecting filesystem for the whole fleet.
+// --threads-per-worker sets the run's thread count; --trace writes the
+// run's Chrome trace; --flightrec pins the crash flight recorder's dump
+// path (defaults to work_dir/flightrec.json); --fail-index=K makes
+// scenario K permanently fail, a deterministic degraded run that leaves a
+// postmortem behind; --chaos-seed installs a seeded fault-injecting
+// filesystem for the run.
 #include <chrono>
 #include <iostream>
 #include <memory>
-#include <thread>
 #include <vector>
 
 #include "campaign/service.hpp"
@@ -57,12 +48,11 @@ int main(int argc, char** argv) {
   const std::string work_dir = cli.get("work-dir", "");
   if (work_dir.empty()) {
     std::cerr << "usage: " << cli.program()
-              << " --work-dir=PATH [--cache-dir=PATH] [--workers=N]"
-                 " [--scenarios=N] [--replications=N] [--seed=N] [--chunk=N]"
+              << " --work-dir=PATH [--cache-dir=PATH]"
+                 " [--scenarios=N] [--replications=N] [--seed=N]"
                  " [--threads-per-worker=N] [--budget=N] [--deadline-ms=N]"
-                 " [--slow-ms=N] [--slow-first=K] [--crash-shard=K]"
-                 " [--crash-after=N] [--out=PATH] [--report=PATH]"
-                 " [--trace=PATH] [--flightrec=PATH] [--fail-index=K]"
+                 " [--out=PATH] [--report=PATH] [--trace=PATH]"
+                 " [--flightrec=PATH] [--fail-index=K]"
                  " [--chaos-seed=N] [--chaos-rate=R]\n";
     return fault::to_int(fault::ExitCode::kUsage);
   }
@@ -70,8 +60,6 @@ int main(int argc, char** argv) {
   const int scenarios = static_cast<int>(cli.get_int("scenarios", 24));
   const int replications = static_cast<int>(cli.get_int("replications", 400));
   const auto seed = static_cast<std::uint64_t>(cli.get_int("seed", 42));
-  const auto slow = std::chrono::milliseconds(cli.get_int("slow-ms", 0));
-  const int slow_first = static_cast<int>(cli.get_int("slow-first", -1));
 
   // The node grid the scenarios cycle through: partition sizes from the
   // paper's scaling studies.
@@ -95,29 +83,25 @@ int main(int argc, char** argv) {
            }());
 
   campaign::ServiceConfig cfg;
-  cfg.workers = static_cast<int>(cli.get_int("workers", 3));
   cfg.threads_per_worker =
       static_cast<int>(cli.get_int("threads-per-worker", 1));
-  cfg.chunk = static_cast<int>(cli.get_int("chunk", 4));
   cfg.work_dir = work_dir;
   cfg.cache_dir = cli.get("cache-dir", "");
   cfg.resilient.failure_budget = static_cast<int>(cli.get_int("budget", -1));
   cfg.resilient.deadline =
       std::chrono::milliseconds(cli.get_int("deadline-ms", 0));
-  cfg.crash_shard = static_cast<int>(cli.get_int("crash-shard", -1));
-  cfg.crash_after = static_cast<int>(cli.get_int("crash-after", 0));
   cfg.trace_path = cli.get("trace", "");
 
-  // Arm the flight recorder before the run so the ring captures campaign
-  // marks and frame traffic from the first frame on; the exit path below
-  // dumps it whenever the run ends degraded or worse.
+  // Arm the flight recorder before the run so the ring captures the
+  // campaign's marks and log lines; the exit path below dumps it whenever
+  // the run ends degraded or worse.
   if (const std::string fr = cli.get("flightrec", ""); !fr.empty())
     FlightRecorder::global().set_dump_path(fr);
 
   const int fail_index = static_cast<int>(cli.get_int("fail-index", -1));
 
-  // A nonzero chaos seed puts the whole fleet (workers inherit the
-  // installed Env across fork) on a deterministically faulty filesystem.
+  // A nonzero chaos seed puts the run on a deterministically faulty
+  // filesystem.
   std::unique_ptr<ChaosEnv> chaos;
   const auto chaos_seed =
       static_cast<std::uint64_t>(cli.get_int("chaos-seed", 0));
@@ -132,19 +116,10 @@ int main(int argc, char** argv) {
   const auto& ctx = engine::SharedContext::instance();
   const campaign::CampaignResult result = campaign::run_campaign(
       spec,
-      [&](int i, const engine::CancelToken& cancel) {
+      [&](int i, const engine::CancelToken&) {
         if (i == fail_index)
           throw engine::PermanentError("injected permanent fault at index " +
                                        std::to_string(i));
-        const auto pad =
-            (slow_first < 0 || i < slow_first) ? slow
-                                               : std::chrono::milliseconds(0);
-        for (auto waited = std::chrono::milliseconds(0); waited < pad;
-             waited += std::chrono::milliseconds(5)) {
-          if (cancel.cancelled())
-            throw engine::TransientError("cancelled during padding");
-          std::this_thread::sleep_for(std::chrono::milliseconds(5));
-        }
         const int nodes = grid[static_cast<std::size_t>(i) % grid.size()];
         fault::StudyConfig scfg;
         scfg.replications = replications;
@@ -155,9 +130,10 @@ int main(int argc, char** argv) {
       },
       cfg);
 
-  print_banner(std::cout, "Sharded campaign service, " +
-                              std::to_string(scenarios) + " scenarios, " +
-                              std::to_string(cfg.workers) + " workers");
+  print_banner(std::cout, "Campaign service, " + std::to_string(scenarios) +
+                              " scenarios, " +
+                              std::to_string(cfg.threads_per_worker) +
+                              " threads");
   Table t({"scenario", "nodes", "expected (h)", "interrupts",
            "efficiency (%)"});
   for (std::size_t i = 0; i < result.entries.size(); ++i) {
@@ -181,19 +157,9 @@ int main(int argc, char** argv) {
             << " not run\n"
             << "cache=" << (result.cache_hit ? "hit" : "miss")
             << " executed=" << s.executed << " resumed=" << s.resumed
-            << " spawned=" << s.workers_spawned << " crashes=" << s.crashes
-            << " respawns=" << s.respawns << " steals=" << s.steals_granted
-            << "/" << s.steal_requests << " stolen=" << s.stolen_indices
             << " cache_hits="
             << obs::MetricsRegistry::global().counter("campaign.cache.hit")
                    .value()
-            << " fleet_parts=" << result.fleet.parts.size()
-            << " fleet_appends="
-            << [&] {
-                 const obs::MetricSnapshot* m =
-                     result.fleet.merged.find("journal.appends");
-                 return m ? m->ivalue : 0;
-               }()
             << "\n";
 
   if (const std::string out = cli.get("out", ""); !out.empty()) {

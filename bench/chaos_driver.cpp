@@ -5,15 +5,11 @@
 // with a ChaosEnv installed -- every open/write/fsync/rename the
 // journal, result store, and cache perform can fail with ENOSPC, EIO,
 // short and torn writes, EMFILE, failed renames, or bit-flipped reads.
-// Schedules alternate between in-process (workers=0) and a forked
-// 2-worker fleet (the installed environment is inherited across fork,
-// so the whole fleet runs under the same chaos).
 //
 // Invariants asserted per schedule, differentially against the
 // reference:
 //   * no crash: run_campaign returns; an escaped exception is a FAIL;
-//   * no hang: the run finishes (the fleet watchdog bounds a wedged
-//     fleet; CI additionally bounds the whole driver);
+//   * no hang: the run finishes (CI bounds the whole driver);
 //   * exit-code contract: the outcome maps to fault::ExitCode 0/3/4 and
 //     nothing else;
 //   * byte-identity when recoverable: a run that reports clean must
@@ -26,11 +22,10 @@
 // each) so a red CI run is reproducible with --schedules=1 --seed=N.
 //
 //   chaos_driver --work-dir=PATH [--schedules=100] [--seed=3301]
-//       [--scenarios=12] [--workers=2] [--fault-rate=0.08]
+//       [--scenarios=12] [--fault-rate=0.08]
 //       [--read-corrupt-rate=0.02] [--max-faults=6] [--unbounded-every=10]
 #include <sys/stat.h>
 
-#include <chrono>
 #include <iostream>
 #include <string>
 
@@ -73,7 +68,7 @@ int main(int argc, char** argv) {
   if (work_dir.empty()) {
     std::cerr << "usage: " << cli.program()
               << " --work-dir=PATH [--schedules=100] [--seed=3301]"
-                 " [--scenarios=12] [--workers=2] [--fault-rate=0.08]"
+                 " [--scenarios=12] [--fault-rate=0.08]"
                  " [--read-corrupt-rate=0.02] [--max-faults=6]"
                  " [--unbounded-every=10]\n";
     return fault::to_int(fault::ExitCode::kUsage);
@@ -81,7 +76,6 @@ int main(int argc, char** argv) {
   const int schedules = static_cast<int>(cli.get_int("schedules", 100));
   const auto base_seed = static_cast<std::uint64_t>(cli.get_int("seed", 3301));
   const int scenarios = static_cast<int>(cli.get_int("scenarios", 12));
-  const int fleet_workers = static_cast<int>(cli.get_int("workers", 2));
   const double fault_rate = cli.get_double("fault-rate", 0.08);
   const double read_corrupt_rate = cli.get_double("read-corrupt-rate", 0.02);
   const int max_faults = static_cast<int>(cli.get_int("max-faults", 6));
@@ -103,10 +97,8 @@ int main(int argc, char** argv) {
         return scenario_metrics(spec.base_seed, i);
       };
 
-  // Fault-free reference bytes (in-process; the fleet shape does not
-  // change the bytes -- that is campaign_test's invariant, not ours).
+  // Fault-free reference bytes.
   campaign::ServiceConfig ref_cfg;
-  ref_cfg.workers = 0;
   ref_cfg.work_dir = work_dir + "/reference";
   const std::string reference =
       campaign::run_campaign(spec, fn, ref_cfg).result_bytes;
@@ -117,8 +109,7 @@ int main(int argc, char** argv) {
 
   print_banner(std::cout,
                "Chaos fuzzer: " + std::to_string(schedules) + " schedules x " +
-                   std::to_string(scenarios) + " scenarios, workers 0/" +
-                   std::to_string(fleet_workers) + " alternating");
+                   std::to_string(scenarios) + " scenarios");
 
   int clean = 0, degraded = 0, budget = 0, failures = 0;
   std::uint64_t injected_total = 0, ops_total = 0;
@@ -128,12 +119,6 @@ int main(int argc, char** argv) {
     const std::uint64_t seed = base_seed + static_cast<std::uint64_t>(k);
     const std::string dir = work_dir + "/s" + std::to_string(seed);
     campaign::ServiceConfig cfg;
-    // Alternate fleet shapes: even schedules in-process (sanitizer-safe,
-    // counters visible in this process), odd ones a forked 2-worker
-    // fleet inheriting the installed chaos environment.
-    cfg.workers = (k % 2 == 0) ? 0 : fleet_workers;
-    cfg.chunk = 2;
-    cfg.fleet_deadline = std::chrono::milliseconds(20'000);
     cfg.work_dir = dir + "/work";
     cfg.cache_dir = dir + "/cache";
 
@@ -152,7 +137,7 @@ int main(int argc, char** argv) {
       ScopedEnv scope(&chaos);
       result = campaign::run_campaign(spec, fn, cfg);
     } catch (const std::exception& e) {
-      std::cout << "FAIL schedule seed=" << seed << " workers=" << cfg.workers
+      std::cout << "FAIL schedule seed=" << seed
                 << ": escaped exception: " << e.what() << "\n";
       failed = true;
     }
@@ -166,7 +151,6 @@ int main(int argc, char** argv) {
         ++clean;
         if (result.result_bytes != reference) {
           std::cout << "FAIL schedule seed=" << seed
-                    << " workers=" << cfg.workers
                     << ": clean outcome but bytes differ from the fault-free"
                        " reference\n";
           failed = true;
@@ -177,7 +161,7 @@ int main(int argc, char** argv) {
                  fault::to_int(fault::ExitCode::kBudgetExceeded)) {
         ++budget;
       } else {
-        std::cout << "FAIL schedule seed=" << seed << " workers=" << cfg.workers
+        std::cout << "FAIL schedule seed=" << seed
                   << ": outcome maps to exit code " << code
                   << ", outside the 0/3/4 contract\n";
         failed = true;
@@ -191,12 +175,12 @@ int main(int argc, char** argv) {
     if (dir_exists(cache.entry_dir(campaign))) {
       const auto hit = cache.lookup(campaign, spec.params);
       if (!hit) {
-        std::cout << "FAIL schedule seed=" << seed << " workers=" << cfg.workers
+        std::cout << "FAIL schedule seed=" << seed
                   << ": cache entry exists but does not revalidate"
                      " (partial publish escaped)\n";
         failed = true;
       } else if (hit->result_bytes != reference) {
-        std::cout << "FAIL schedule seed=" << seed << " workers=" << cfg.workers
+        std::cout << "FAIL schedule seed=" << seed
                   << ": cache entry serves bytes differing from the"
                      " reference\n";
         failed = true;

@@ -3,23 +3,23 @@
 // A campaign's identity is the 64-bit FNV-1a hash of its parameter object
 // plus seed and engine provenance (whatever the caller folds into
 // `params` -- the service uses spec.params verbatim, the same object the
-// shard journals are keyed by).  One cache entry is one directory:
+// campaign journal is keyed by).  One cache entry is one directory:
 //
 //   <root>/<hex64>/meta.json      {"cache":"rr-campaign-cache","version":1,
 //                                  "campaign":"<hex64>","name":...,
 //                                  "scenarios":N,"params":{...},
 //                                  "outcome":"clean",
 //                                  "result_hash":"<hex16>"}
-//   <root>/<hex64>/result.jsonl   the canonical merged entries, one JSON
+//   <root>/<hex64>/result.jsonl   the canonical entries, one JSON
 //                                 line per scenario in index order --
-//                                 byte-identical to a single-process run
+//                                 byte-identical to an uninterrupted run
 //   <root>/<hex64>/report.json    the rr-run-report of the populating run
 //   <root>/<hex64>/report.md      its Markdown sibling
 //
 // Publish is crash-safe and race-safe: files are staged into a temp
 // directory in the cache root and rename(2)d into place under the cache
 // lock file, so a reader either sees no entry or a complete one, and two
-// coordinators finishing the same campaign publish exactly once.  Only
+// processes finishing the same campaign publish exactly once.  Only
 // clean runs are published -- a degraded result must not be served
 // forever.  Lookup re-validates the stored campaign id and params AND
 // the result.jsonl content hash recorded in meta ("result_hash", FNV-1a
@@ -38,7 +38,7 @@ namespace rr::campaign {
 
 struct CacheEntry {
   std::string dir;          ///< <root>/<hex64>
-  std::string result_path;  ///< canonical merged entries (JSONL)
+  std::string result_path;  ///< canonical entries (JSONL)
   std::string report_path;  ///< rr-run-report JSON
   Json meta;                ///< parsed meta.json
   // Entry contents, read and content-hash-validated during lookup, so

@@ -1,27 +1,13 @@
 #include "campaign/service.hpp"
 
-#include <poll.h>
-#include <signal.h>
-#include <sys/socket.h>
-#include <sys/types.h>
-#include <sys/wait.h>
-#include <unistd.h>
-
 #include <algorithm>
-#include <chrono>
-#include <cstdlib>
-#include <deque>
-#include <map>
 #include <sstream>
 
 #include "campaign/cache.hpp"
-#include "campaign/protocol.hpp"
 #include "obs/export.hpp"
-#include "obs/fleet.hpp"
 #include "obs/metrics.hpp"
 #include "obs/prof.hpp"
 #include "obs/report.hpp"
-#include "obs/tracemerge.hpp"
 #include "sim/trace.hpp"
 #include "util/expect.hpp"
 #include "util/fileio.hpp"
@@ -32,917 +18,22 @@ namespace rr::campaign {
 
 namespace {
 
-using Clock = std::chrono::steady_clock;
-
-struct ServiceMetrics {
-  obs::Counter& cache_hit;
-  obs::Counter& cache_miss;
-  obs::Counter& steal_requests;
-  obs::Counter& steal_granted;
-  obs::Counter& steal_indices;
-  obs::Counter& worker_spawn;
-  obs::Counter& worker_crash;
-  obs::Counter& worker_respawn;
-
-  ServiceMetrics()
-      : cache_hit(obs::MetricsRegistry::global().counter("campaign.cache.hit")),
-        cache_miss(
-            obs::MetricsRegistry::global().counter("campaign.cache.miss")),
-        steal_requests(
-            obs::MetricsRegistry::global().counter("campaign.steal.requests")),
-        steal_granted(
-            obs::MetricsRegistry::global().counter("campaign.steal.granted")),
-        steal_indices(
-            obs::MetricsRegistry::global().counter("campaign.steal.indices")),
-        worker_spawn(
-            obs::MetricsRegistry::global().counter("campaign.worker.spawn")),
-        worker_crash(
-            obs::MetricsRegistry::global().counter("campaign.worker.crash")),
-        worker_respawn(
-            obs::MetricsRegistry::global().counter("campaign.worker.respawn")) {
-  }
-};
-
-ServiceMetrics& metrics() {
-  static ServiceMetrics m;
-  return m;
+obs::Counter& cache_hit_counter() {
+  static obs::Counter& c =
+      obs::MetricsRegistry::global().counter("campaign.cache.hit");
+  return c;
 }
 
-std::string shard_journal_path(const ServiceConfig& cfg, int shard) {
-  return cfg.work_dir + "/shard-" + std::to_string(shard) + ".jsonl";
+obs::Counter& cache_miss_counter() {
+  static obs::Counter& c =
+      obs::MetricsRegistry::global().counter("campaign.cache.miss");
+  return c;
 }
 
-std::string coord_journal_path(const ServiceConfig& cfg) {
-  return cfg.work_dir + "/shard-coord.jsonl";
+/// The SweepEngine thread count a run uses (and its report records).
+int run_threads(const ServiceConfig& cfg) {
+  return std::max(1, cfg.threads_per_worker);
 }
-
-// ---------------------------------------------------------------------------
-// Fleet observability plumbing (DESIGN.md §15).
-// ---------------------------------------------------------------------------
-
-bool tracing_enabled(const ServiceConfig& cfg) {
-  return !cfg.trace_path.empty() && !cfg.work_dir.empty();
-}
-
-std::string coord_trace_path(const ServiceConfig& cfg) {
-  return cfg.work_dir + "/trace-coord.json";
-}
-
-/// Per-incarnation file: a respawned shard must not clobber what an
-/// earlier incarnation managed to write.
-std::string shard_trace_path(const ServiceConfig& cfg, int shard,
-                             int incarnation) {
-  return cfg.work_dir + "/trace-shard-" + std::to_string(shard) + "-" +
-         std::to_string(incarnation) + ".json";
-}
-
-bool write_trace_file(const sim::TraceRecorder& rec, const std::string& path) {
-  std::ostringstream os;
-  rec.write_json(os);
-  return write_file_atomic(path, os.str());
-}
-
-/// Flow ids pair a frame's send ("s") with its receive ("f") across the
-/// merged trace, so every sender stamps "fs" from its own disjoint
-/// range: the coordinator from kCoordFlowBase, shard k incarnation i
-/// from (8k + i + 1) * kShardFlowStride.  Ranges never collide below
-/// one million frames per incarnation.
-constexpr std::uint64_t kShardFlowStride = 1'000'000;
-constexpr std::uint64_t kCoordFlowBase = 2'000'000'000;
-
-std::uint64_t shard_flow_base(int shard, int incarnation) {
-  return (static_cast<std::uint64_t>(shard) * 8 +
-          static_cast<std::uint64_t>(incarnation) + 1) *
-         kShardFlowStride;
-}
-
-engine::ResilientConfig shard_resilient_config(const CampaignSpec& spec,
-                                               const ServiceConfig& cfg) {
-  engine::ResilientConfig rcfg = cfg.resilient;
-  rcfg.base_seed = spec.base_seed;
-  rcfg.seed_of = spec.seed_of;
-  return rcfg;
-}
-
-int outcome_rank(engine::RunOutcome o) { return static_cast<int>(o); }
-
-// ---------------------------------------------------------------------------
-// Worker side.  Runs in the forked child; never returns.
-// ---------------------------------------------------------------------------
-
-[[noreturn]] void worker_main(int fd, int shard, int incarnation,
-                              const CampaignSpec& spec,
-                              const engine::ResilientScenario& fn,
-                              const ServiceConfig& cfg, bool arm_crash) {
-  // Satellite: workers re-read the log environment the coordinator
-  // exported and tag every line with their shard id -- as text prefix
-  // for humans and as a structured JSONL field for tools.
-  log_init_from_env();
-  set_log_prefix("shard " + std::to_string(shard));
-  set_log_shard(shard);
-
-  // The forked child inherited the coordinator's registry *values*, its
-  // WallTrace attachment, and its flight-recorder dump path; all three
-  // would corrupt fleet observability.  Reset the registry so the
-  // absolute snapshots this worker ships describe only its own work,
-  // attach (or detach) the wall trace to this process's recorder, and
-  // point postmortems at a shard-scoped file.
-  obs::MetricsRegistry::global().reset();
-  const bool tracing = tracing_enabled(cfg);
-  sim::TraceRecorder rec;
-  const std::string track = "shard" + std::to_string(shard);
-  obs::WallTrace::global().attach(tracing ? &rec : nullptr, "wall/" + track);
-  if (!cfg.work_dir.empty())
-    FlightRecorder::global().set_dump_path(cfg.work_dir + "/flightrec-shard-" +
-                                           std::to_string(shard) + ".json");
-
-  // Frame instrumentation: every sent frame is stamped with a flow id
-  // ("fs") and opens a flow at this end; every received frame with a
-  // stamp closes one.  The last frames also land in the flight ring.
-  std::uint64_t fseq = 0;
-  const std::uint64_t flow_base = shard_flow_base(shard, incarnation);
-  const std::string frame_track = "frames/" + track;
-  const auto send_frame = [&](Json msg, const char* type) -> bool {
-    const std::uint64_t id = flow_base + fseq++;
-    msg.set("fs", static_cast<std::int64_t>(id));
-    if (tracing)
-      rec.flow_begin(std::string("send ") + type, frame_track, obs::wall_now(),
-                     id);
-    FlightRecorder::global().record(FlightKind::kFrame,
-                                    std::string("send ") + type,
-                                    static_cast<double>(shard));
-    return write_frame(fd, msg);
-  };
-  const auto send_stats = [&]() -> bool {
-    Json st = Json::object();
-    st.set("t", "stats").set("shard", shard)
-        .set("metrics",
-             obs::snapshot_to_wire(obs::MetricsRegistry::global().snapshot()));
-    return send_frame(std::move(st), "stats");
-  };
-
-  int code = fault::to_int(fault::ExitCode::kError);
-  try {
-    engine::SweepEngine eng({std::max(1, cfg.threads_per_worker)});
-    engine::SweepJournal journal(shard_journal_path(cfg, shard), spec.params,
-                                 spec.scenarios);
-    if (arm_crash && cfg.crash_after > 0)
-      journal.set_crash_after(cfg.crash_after);
-    const engine::ResilientConfig rcfg = shard_resilient_config(spec, cfg);
-
-    {
-      Json hello = Json::object();
-      hello.set("t", "hello").set("shard", shard)
-          .set("pid", static_cast<std::int64_t>(::getpid()));
-      if (!send_frame(std::move(hello), "hello")) std::_Exit(code);
-    }
-
-    std::deque<int> owned;
-    engine::RunOutcome worst = engine::RunOutcome::kClean;
-    bool budget_hit = false;
-    bool stopping = false;
-
-    while (!stopping) {
-      // Drain control frames first: immediately when work is pending,
-      // with a heartbeat-long block when idle.
-      struct ::pollfd pfd{fd, POLLIN, 0};
-      const int timeout_ms =
-          owned.empty() ? static_cast<int>(cfg.heartbeat.count()) : 0;
-      const int pr = ::poll(&pfd, 1, timeout_ms);
-      if (pr > 0 && (pfd.revents & (POLLIN | POLLHUP)) != 0) {
-        const std::optional<Json> msg = read_frame(fd);
-        if (!msg) break;  // coordinator went away; nothing left to report to
-        const MsgType t = frame_type(*msg);  // throws on garbage: the
-                                             // catch below exits kError
-                                             // and the coordinator respawns
-        FlightRecorder::global().record(FlightKind::kFrame,
-                                        std::string("recv ") + to_string(t),
-                                        static_cast<double>(shard));
-        if (tracing) {
-          const Json* fs = msg->find("fs");
-          if (fs && fs->is_number() && fs->as_double() >= 0)
-            rec.flow_end(std::string("recv ") + to_string(t), frame_track,
-                         obs::wall_now(),
-                         static_cast<std::uint64_t>(fs->as_double()));
-        }
-        if (t == MsgType::kRun) {
-          // Bounds-checked decode: an assignment outside the campaign's
-          // index space is a desynced or hostile stream, rejected before
-          // any index is acted on.
-          for (const IndexRange& r :
-               ranges_from_json(msg->at("ranges"), spec.scenarios))
-            for (int i = r.lo; i < r.hi; ++i) owned.push_back(i);
-        } else if (t == MsgType::kSteal) {
-          // Give back ~half of the unstarted remainder, from the tail, but
-          // never go below one chunk -- a near-empty shard is not worth
-          // splitting.
-          std::vector<int> give;
-          if (static_cast<int>(owned.size()) > cfg.chunk) {
-            const std::size_t keep = (owned.size() + 1) / 2;
-            while (owned.size() > keep) {
-              give.push_back(owned.back());
-              owned.pop_back();
-            }
-            std::sort(give.begin(), give.end());
-          }
-          Json rel = Json::object();
-          rel.set("t", "released").set("shard", shard)
-              .set("ranges", ranges_to_json(ranges_from_sorted_indices(give)));
-          if (!send_frame(std::move(rel), "released")) break;
-        } else if (t == MsgType::kStop) {
-          stopping = true;
-        }
-        continue;  // keep draining frames before running more work
-      }
-
-      if (owned.empty()) {
-        if (pr == 0) {
-          // Idle heartbeat so the coordinator's fleet watchdog sees life.
-          Json hb = Json::object();
-          hb.set("t", "progress").set("shard", shard)
-              .set("completed", Json::array()).set("executed", 0)
-              .set("resumed", 0).set("remaining", 0)
-              .set("outcome", engine::to_string(worst));
-          if (!send_frame(std::move(hb), "progress")) break;
-        }
-        continue;
-      }
-      if (budget_hit) {  // budget tripped: idle until told to stop
-        owned.clear();
-        continue;
-      }
-
-      // Run one chunk off the front of the owned queue.
-      std::vector<int> chunk;
-      while (!owned.empty() && static_cast<int>(chunk.size()) < cfg.chunk) {
-        chunk.push_back(owned.front());
-        owned.pop_front();
-      }
-      int pre = 0;
-      for (const int i : chunk)
-        if (journal.completed(i)) ++pre;
-      static obs::Histogram& chunk_hist =
-          obs::MetricsRegistry::global().histogram("campaign.chunk_us",
-                                                   obs::latency_bounds_us());
-      engine::ResilientReport rep = [&] {
-        // The span publishes chunk wall latency into the registry and,
-        // when tracing, onto this worker's wall track.
-        obs::ProfSpan span("chunk x" + std::to_string(chunk.size()),
-                           &chunk_hist);
-        return engine::run_resilient_indices(eng, spec.scenarios, chunk, fn,
-                                             &journal, rcfg);
-      }();
-      if (outcome_rank(rep.outcome) > outcome_rank(worst)) worst = rep.outcome;
-
-      Json completed = Json::array();
-      int got = 0;
-      for (const int i : chunk) {
-        const auto& e = rep.entries[static_cast<std::size_t>(i)];
-        if (!e) continue;
-        ++got;
-        Json pair = Json::array();
-        pair.push_back(i);
-        pair.push_back(engine::to_string(e->status));
-        completed.push_back(std::move(pair));
-      }
-      Json progress = Json::object();
-      progress.set("t", "progress").set("shard", shard)
-          .set("completed", std::move(completed)).set("executed", got - pre)
-          .set("resumed", pre)
-          .set("remaining", static_cast<std::int64_t>(owned.size()))
-          .set("outcome", engine::to_string(rep.outcome));
-      if (!send_frame(std::move(progress), "progress")) break;
-      // Piggyback the cumulative metrics snapshot on every chunk's
-      // progress, so a later crash loses at most one chunk of counters.
-      if (!send_stats()) break;
-      if (rep.outcome == engine::RunOutcome::kBudgetExceeded) {
-        budget_hit = true;
-        owned.clear();
-      }
-    }
-
-    code = engine::exit_code(worst);
-    if (stopping) {
-      // Final stats before done, so the coordinator's drain folds this
-      // incarnation's complete counters into the fleet snapshot.
-      send_stats();
-      Json done = Json::object();
-      done.set("t", "done").set("shard", shard)
-          .set("outcome", engine::to_string(worst));
-      send_frame(std::move(done), "done");
-    }
-  } catch (const std::exception& e) {
-    RR_ERROR("campaign worker failed: " << e.what());
-    code = fault::to_int(fault::ExitCode::kError);
-  }
-  if (tracing) {
-    obs::export_counters(obs::MetricsRegistry::global().snapshot(), rec,
-                         obs::wall_now(), "wall/" + track);
-    write_trace_file(rec, shard_trace_path(cfg, shard, incarnation));
-  }
-  // Forked child: no destructors, no atexit -- every journal append was
-  // already fsync'd, and running the parent's cleanup here would be wrong.
-  // A degraded exit leaves its flight-ring postmortem behind first.
-  std::_Exit(FlightRecorder::dump_on_exit(code));
-}
-
-// ---------------------------------------------------------------------------
-// Coordinator side.
-// ---------------------------------------------------------------------------
-
-struct WorkerState {
-  int shard = -1;
-  pid_t pid = -1;
-  int fd = -1;
-  bool alive = false;
-  bool stopping = false;   ///< stop frame sent
-  bool done_seen = false;  ///< done frame received
-  bool steal_outstanding = false;
-  int respawns = 0;
-  std::vector<std::uint8_t> owned;  ///< per campaign index: assigned, not done
-  int owned_count = 0;
-  obs::Snapshot stats_snap;  ///< latest absolute stats this incarnation
-  bool has_stats = false;
-};
-
-class Coordinator {
- public:
-  Coordinator(const CampaignSpec& spec, const engine::ResilientScenario& fn,
-              const ServiceConfig& cfg)
-      : spec_(spec), fn_(fn), cfg_(cfg), n_(spec.scenarios),
-        tracing_(tracing_enabled(cfg)),
-        done_(static_cast<std::size_t>(n_), 0) {}
-
-  CampaignStats stats;
-  bool abort = false;
-
-  /// The fleet snapshot after run(): the coordinator's own registry as
-  /// part "coord", then each shard's folded stats under its index label.
-  obs::FleetSnapshot fleet() const {
-    obs::FleetSnapshot f;
-    f.add_part("coord", obs::MetricsRegistry::global().snapshot());
-    for (const auto& [shard, snap] : shard_stats_)
-      f.add_part(std::to_string(shard), snap);
-    return f;
-  }
-
-  /// Merge the coordinator's frame trace with every shard incarnation's
-  /// trace file into cfg.trace_path (crashed incarnations wrote nothing
-  /// and are skipped).
-  void write_merged_trace() {
-    if (!tracing_) return;
-    obs::export_counters(obs::MetricsRegistry::global().snapshot(), trace_,
-                         obs::wall_now(), "wall/coord");
-    std::vector<obs::TracePart> parts;
-    if (write_trace_file(trace_, coord_trace_path(cfg_)))
-      parts.push_back({"coord", coord_trace_path(cfg_)});
-    for (const WorkerState& w : workers_)
-      for (int inc = 0; inc <= w.respawns; ++inc)
-        parts.push_back(
-            {"shard" + std::to_string(w.shard) +
-                 (inc > 0 ? "." + std::to_string(inc) : ""),
-             shard_trace_path(cfg_, w.shard, inc)});
-    int skipped = 0;
-    if (!obs::merge_trace_files(parts, cfg_.trace_path, &skipped)) {
-      RR_WARN("campaign: merged trace write to " << cfg_.trace_path
-                                                 << " failed");
-    } else {
-      RR_INFO("campaign: merged trace -> " << cfg_.trace_path << " ("
-                                           << parts.size() - skipped
-                                           << " parts, " << skipped
-                                           << " missing)");
-    }
-  }
-
-  /// Drive the campaign; on return every index is either done or
-  /// unreachable (budget abort).
-  void run() {
-    // Resume: anything already in a shard (or takeover) journal from an
-    // earlier incarnation of this campaign is done before we fork at all.
-    preload_done();
-
-    std::vector<int> pending;
-    for (int i = 0; i < n_; ++i)
-      if (!done_[static_cast<std::size_t>(i)]) pending.push_back(i);
-    if (pending.empty()) return;
-
-    const int shards =
-        std::min(cfg_.workers, static_cast<int>(pending.size()));
-    workers_.resize(static_cast<std::size_t>(shards));
-
-    // Satellite: export the effective log configuration so every forked
-    // worker (and anything it execs) inherits it.
-    ::setenv("RR_LOG_LEVEL", to_string(log_level()), 1);
-    const std::string sink = log_json_path();
-    if (!sink.empty()) ::setenv("RR_LOG_JSON", sink.c_str(), 1);
-
-    // Even contiguous split of the pending indices across the shards.
-    last_frame_ = Clock::now();
-    std::size_t off = 0;
-    for (int k = 0; k < shards; ++k) {
-      WorkerState& w = workers_[static_cast<std::size_t>(k)];
-      w.shard = k;
-      w.owned.assign(static_cast<std::size_t>(n_), 0);
-      const std::size_t share =
-          (pending.size() - off) / static_cast<std::size_t>(shards - k);
-      const std::vector<int> slice(pending.begin() + static_cast<long>(off),
-                                   pending.begin() +
-                                       static_cast<long>(off + share));
-      off += share;
-      spawn(w, ranges_from_sorted_indices(slice), k == cfg_.crash_shard);
-    }
-
-    bool fleet_dead = false;
-    while (done_count_ < n_ && !abort) {
-      if (!any_alive()) {
-        fleet_dead = true;
-        break;
-      }
-      rebalance();
-      poll_once(static_cast<int>(cfg_.heartbeat.count()));
-      reap();
-      if (Clock::now() - last_frame_ > cfg_.fleet_deadline) {
-        RR_ERROR("campaign fleet made no progress for "
-                 << cfg_.fleet_deadline.count() << " ms; killing workers");
-        kill_all();
-        fleet_dead = true;
-        break;
-      }
-    }
-
-    stop_all();
-    if (fleet_dead && done_count_ < n_ && !abort) takeover();
-  }
-
- private:
-  /// Stamp, trace, flight-record, and write one coordinator->worker
-  /// frame.  A false return (dead peer) is caught by reap(), same as the
-  /// raw write_frame contract.
-  bool send(WorkerState& w, Json msg, const char* type) {
-    const std::uint64_t id = kCoordFlowBase + fseq_++;
-    msg.set("fs", static_cast<std::int64_t>(id));
-    if (tracing_)
-      trace_.flow_begin(std::string("send ") + type + " -> shard " +
-                            std::to_string(w.shard),
-                        "frames/coord", obs::wall_now(), id);
-    FlightRecorder::global().record(
-        FlightKind::kFrame,
-        std::string("coord send ") + type + " -> shard " +
-            std::to_string(w.shard),
-        static_cast<double>(w.shard));
-    return write_frame(w.fd, msg);
-  }
-
-  void preload_done() {
-    std::vector<std::string> paths = journal_paths();
-    const auto pre =
-        engine::merge_journal_files(paths, spec_.params, n_);
-    for (int i = 0; i < n_; ++i) {
-      if (pre[static_cast<std::size_t>(i)]) {
-        done_[static_cast<std::size_t>(i)] = 1;
-        ++done_count_;
-        ++stats.resumed;
-      }
-    }
-    if (stats.resumed > 0)
-      RR_INFO("campaign resume: " << stats.resumed << "/" << n_
-                                  << " scenarios already journaled");
-  }
-
-  std::vector<std::string> journal_paths() const {
-    std::vector<std::string> paths;
-    const int shards = std::max(1, cfg_.workers);
-    for (int k = 0; k < shards; ++k)
-      paths.push_back(shard_journal_path(cfg_, k));
-    paths.push_back(coord_journal_path(cfg_));
-    return paths;
-  }
-
-  bool any_alive() const {
-    for (const WorkerState& w : workers_)
-      if (w.alive) return true;
-    return false;
-  }
-
-  void pool_ranges(const std::vector<IndexRange>& ranges) {
-    for (const IndexRange& r : ranges)
-      for (int i = r.lo; i < r.hi; ++i)
-        if (!done_[static_cast<std::size_t>(i)]) pool_.push_back(i);
-  }
-
-  void spawn(WorkerState& w, const std::vector<IndexRange>& ranges,
-             bool arm_crash) {
-    int sv[2];
-    if (::socketpair(AF_UNIX, SOCK_STREAM, 0, sv) != 0) {
-      RR_ERROR("campaign: socketpair failed; shard " << w.shard
-                                                     << " not spawned");
-      pool_ranges(ranges);
-      return;
-    }
-    const pid_t pid = ::fork();
-    if (pid < 0) {
-      ::close(sv[0]);
-      ::close(sv[1]);
-      RR_ERROR("campaign: fork failed; shard " << w.shard << " not spawned");
-      pool_ranges(ranges);
-      return;
-    }
-    if (pid == 0) {
-      ::close(sv[0]);
-      for (const WorkerState& other : workers_)
-        if (other.fd >= 0) ::close(other.fd);
-      worker_main(sv[1], w.shard, w.respawns, spec_, fn_, cfg_,
-                  arm_crash);  // noreturn
-    }
-    ::close(sv[1]);
-    w.pid = pid;
-    w.fd = sv[0];
-    w.alive = true;
-    w.stopping = false;
-    w.done_seen = false;
-    w.steal_outstanding = false;
-    w.has_stats = false;  // the new incarnation starts its counters at zero
-    w.stats_snap = {};
-    metrics().worker_spawn.inc();
-    ++stats.workers_spawned;
-    assign(w, ranges);
-  }
-
-  void assign(WorkerState& w, const std::vector<IndexRange>& ranges) {
-    if (ranges.empty()) return;
-    for (const IndexRange& r : ranges) {
-      for (int i = r.lo; i < r.hi; ++i) {
-        auto& bit = w.owned[static_cast<std::size_t>(i)];
-        if (!bit) {
-          bit = 1;
-          ++w.owned_count;
-        }
-      }
-    }
-    Json msg = Json::object();
-    msg.set("t", "run").set("ranges", ranges_to_json(ranges));
-    send(w, std::move(msg), "run");  // a dead peer is caught by reap()
-  }
-
-  void release_owned_to_pool(WorkerState& w) {
-    for (int i = 0; i < n_; ++i) {
-      auto& bit = w.owned[static_cast<std::size_t>(i)];
-      if (bit) {
-        bit = 0;
-        if (!done_[static_cast<std::size_t>(i)]) pool_.push_back(i);
-      }
-    }
-    w.owned_count = 0;
-  }
-
-  std::vector<IndexRange> owned_ranges(const WorkerState& w) const {
-    std::vector<int> idx;
-    for (int i = 0; i < n_; ++i)
-      if (w.owned[static_cast<std::size_t>(i)]) idx.push_back(i);
-    return ranges_from_sorted_indices(idx);
-  }
-
-  /// Apply one worker frame.  Throws std::runtime_error on a frame that
-  /// is shaped wrong or claims indices outside the campaign -- the
-  /// caller (poll_once / finish_exit) treats that as a corrupt stream
-  /// and retires the worker; a hostile child cannot crash or corrupt
-  /// the coordinator.
-  void handle_frame(WorkerState& w, const Json& msg) {
-    last_frame_ = Clock::now();
-    const MsgType t = frame_type(msg);
-    FlightRecorder::global().record(
-        FlightKind::kFrame,
-        std::string("coord recv ") + to_string(t) + " <- shard " +
-            std::to_string(w.shard),
-        static_cast<double>(w.shard));
-    if (tracing_) {
-      const Json* fs = msg.find("fs");
-      if (fs && fs->is_number() && fs->as_double() >= 0)
-        trace_.flow_end(std::string("recv ") + to_string(t) + " <- shard " +
-                            std::to_string(w.shard),
-                        "frames/coord", obs::wall_now(),
-                        static_cast<std::uint64_t>(fs->as_double()));
-    }
-    if (t == MsgType::kProgress) {
-      for (const Json& pair : msg.at("completed").as_array()) {
-        const int i = static_cast<int>(pair.at(std::size_t{0}).as_int());
-        if (i < 0 || i >= n_)
-          throw std::runtime_error("progress frame claims scenario " +
-                                   std::to_string(i) +
-                                   " outside campaign of " +
-                                   std::to_string(n_));
-        if (!done_[static_cast<std::size_t>(i)]) {
-          done_[static_cast<std::size_t>(i)] = 1;
-          ++done_count_;
-        }
-        auto& bit = w.owned[static_cast<std::size_t>(i)];
-        if (bit) {
-          bit = 0;
-          --w.owned_count;
-        }
-      }
-      stats.executed += static_cast<int>(msg.at("executed").as_int());
-      stats.resumed += static_cast<int>(msg.at("resumed").as_int());
-      if (msg.at("outcome").as_string() ==
-          engine::to_string(engine::RunOutcome::kBudgetExceeded))
-        abort = true;
-    } else if (t == MsgType::kReleased) {
-      w.steal_outstanding = false;
-      int granted = 0;
-      for (const IndexRange& r : ranges_from_json(msg.at("ranges"), n_)) {
-        for (int i = r.lo; i < r.hi; ++i) {
-          auto& bit = w.owned[static_cast<std::size_t>(i)];
-          if (!bit) continue;
-          bit = 0;
-          --w.owned_count;
-          if (!done_[static_cast<std::size_t>(i)]) pool_.push_back(i);
-          ++granted;
-        }
-      }
-      if (granted > 0) {
-        metrics().steal_granted.inc();
-        metrics().steal_indices.add(static_cast<std::uint64_t>(granted));
-        ++stats.steals_granted;
-        stats.stolen_indices += granted;
-        FlightRecorder::global().record(
-            FlightKind::kMetric,
-            "campaign.steal.indices +" + std::to_string(granted) +
-                " (shard " + std::to_string(w.shard) + ")",
-            static_cast<double>(granted));
-      }
-    } else if (t == MsgType::kStats) {
-      // Absolute cumulative snapshot for this incarnation; keep only the
-      // latest (folding into shard_stats_ happens once, at retirement).
-      // snapshot_from_wire throws on garbage, retiring the worker like
-      // any other corrupt frame.
-      w.stats_snap = obs::snapshot_from_wire(msg.at("metrics"));
-      w.has_stats = true;
-    } else if (t == MsgType::kDone) {
-      w.done_seen = true;
-      if (msg.at("outcome").as_string() ==
-          engine::to_string(engine::RunOutcome::kBudgetExceeded))
-        abort = true;
-    }
-    // "hello" only refreshes last_frame_.
-  }
-
-  /// Hand pooled work to idle workers, then steal for any still idle.
-  void rebalance() {
-    if (abort) return;
-    std::vector<WorkerState*> idle;
-    for (WorkerState& w : workers_)
-      if (w.alive && !w.stopping && w.owned_count == 0) idle.push_back(&w);
-    if (idle.empty()) return;
-
-    if (!pool_.empty()) {
-      std::vector<int> avail(pool_.begin(), pool_.end());
-      pool_.clear();
-      std::sort(avail.begin(), avail.end());
-      std::size_t off = 0;
-      for (std::size_t k = 0; k < idle.size() && off < avail.size(); ++k) {
-        const std::size_t share =
-            (avail.size() - off + (idle.size() - k) - 1) / (idle.size() - k);
-        const std::vector<int> slice(
-            avail.begin() + static_cast<long>(off),
-            avail.begin() + static_cast<long>(off + share));
-        off += share;
-        assign(*idle[k], ranges_from_sorted_indices(slice));
-      }
-      return;
-    }
-
-    // Nothing pooled: ask the most-loaded worker to shed half.
-    for (WorkerState* thief : idle) {
-      (void)thief;
-      WorkerState* victim = nullptr;
-      for (WorkerState& w : workers_) {
-        if (!w.alive || w.stopping || w.steal_outstanding) continue;
-        if (w.owned_count <= cfg_.chunk) continue;
-        if (!victim || w.owned_count > victim->owned_count) victim = &w;
-      }
-      if (!victim) break;
-      Json msg = Json::object();
-      msg.set("t", "steal");
-      victim->steal_outstanding = true;
-      metrics().steal_requests.inc();
-      ++stats.steal_requests;
-      send(*victim, std::move(msg), "steal");
-    }
-  }
-
-  /// One poll pass over the live worker fds; reads at most one frame per
-  /// readable fd (buffered frames surface on the next pass immediately,
-  /// since poll keeps reporting them readable).
-  void poll_once(int timeout_ms) {
-    std::vector<struct ::pollfd> pfds;
-    std::vector<WorkerState*> who;
-    for (WorkerState& w : workers_) {
-      if (!w.alive) continue;
-      pfds.push_back({w.fd, POLLIN, 0});
-      who.push_back(&w);
-    }
-    if (pfds.empty()) return;
-    const int pr = ::poll(pfds.data(), pfds.size(), timeout_ms);
-    if (pr <= 0) return;
-    for (std::size_t k = 0; k < pfds.size(); ++k) {
-      if ((pfds[k].revents & (POLLIN | POLLHUP | POLLERR)) == 0) continue;
-      WorkerState& w = *who[k];
-      try {
-        const std::optional<Json> msg = read_frame(w.fd);
-        if (msg) {
-          handle_frame(w, *msg);
-        } else {
-          handle_exit(w);  // clean EOF: the worker is gone
-        }
-      } catch (const std::exception& e) {
-        RR_WARN("campaign: shard " << w.shard << " stream error ("
-                                   << e.what() << "); retiring worker");
-        // The child may still be alive and writing garbage; handle_exit
-        // blocks in waitpid, so kill first or a live corrupting worker
-        // would hang the coordinator.
-        if (w.pid > 0) ::kill(w.pid, SIGKILL);
-        handle_exit(w);
-      }
-    }
-  }
-
-  /// Reap exited children without blocking.
-  void reap() {
-    for (WorkerState& w : workers_) {
-      if (!w.alive) continue;
-      int status = 0;
-      const pid_t r = ::waitpid(w.pid, &status, WNOHANG);
-      if (r == w.pid) finish_exit(w, status);
-    }
-  }
-
-  /// EOF / stream-error path: the child is gone or unusable; wait for it.
-  void handle_exit(WorkerState& w) {
-    int status = 0;
-    ::waitpid(w.pid, &status, 0);
-    finish_exit(w, status);
-  }
-
-  void finish_exit(WorkerState& w, int status) {
-    // The child may have written frames we have not read yet (its final
-    // progress, its done).  EOF is guaranteed now, so drain fully.
-    try {
-      while (const std::optional<Json> msg = read_frame(w.fd))
-        handle_frame(w, *msg);
-    } catch (const std::exception&) {
-      // A frame torn by the death itself; everything before it was applied.
-    }
-    ::close(w.fd);
-    w.fd = -1;
-    w.alive = false;
-    w.steal_outstanding = false;
-
-    // Fold the incarnation's final absolute snapshot into the shard's
-    // fleet part; incarnations of one shard sum.  A crash loses at most
-    // the counters since its last stats frame (one chunk).
-    if (w.has_stats) {
-      try {
-        obs::merge_into(shard_stats_[w.shard], w.stats_snap);
-      } catch (const std::exception& e) {
-        RR_WARN("campaign: shard " << w.shard
-                                   << " stats unmergeable: " << e.what());
-      }
-      w.has_stats = false;
-      w.stats_snap = {};
-    }
-
-    const int code = WIFEXITED(status) ? WEXITSTATUS(status)
-                     : WIFSIGNALED(status) ? 128 + WTERMSIG(status)
-                                           : -1;
-    const bool clean = w.done_seen || (w.stopping && WIFEXITED(status));
-    if (clean) {
-      RR_DEBUG("campaign: shard " << w.shard << " exited " << code);
-      return;
-    }
-
-    metrics().worker_crash.inc();
-    ++stats.crashes;
-    FlightRecorder::global().record(
-        FlightKind::kMark,
-        "worker crash: shard " + std::to_string(w.shard) + " exit " +
-            std::to_string(code),
-        static_cast<double>(code));
-    // Crash detection is a dump trigger: the postmortem shows the frames
-    // and log lines leading up to the death while they are still fresh.
-    FlightRecorder::global().dump();
-    RR_WARN("campaign: shard " << w.shard << " died (exit " << code << ", "
-                               << (fault::exit_code_from_int(code)
-                                       ? describe(*fault::exit_code_from_int(
-                                             code))
-                                       : "unmapped")
-                               << ") with " << w.owned_count
-                               << " indices outstanding");
-    if (!abort && done_count_ < n_ && w.owned_count > 0 &&
-        w.respawns < cfg_.max_respawns) {
-      ++w.respawns;
-      metrics().worker_respawn.inc();
-      ++stats.respawns;
-      FlightRecorder::global().record(
-          FlightKind::kMetric,
-          "campaign.worker.respawn +1 (shard " + std::to_string(w.shard) +
-              ")",
-          1.0);
-      const std::vector<IndexRange> ranges = owned_ranges(w);
-      // Clear ownership first: spawn() re-asserts it via assign(), and a
-      // failed spawn pools the ranges instead.
-      std::fill(w.owned.begin(), w.owned.end(), 0);
-      w.owned_count = 0;
-      RR_INFO("campaign: respawning shard "
-              << w.shard << " (attempt " << w.respawns << "/"
-              << cfg_.max_respawns << "); journal resume covers completed work");
-      spawn(w, ranges, /*arm_crash=*/false);
-    } else {
-      release_owned_to_pool(w);
-    }
-  }
-
-  void kill_all() {
-    for (WorkerState& w : workers_) {
-      if (!w.alive) continue;
-      ::kill(w.pid, SIGKILL);
-      int status = 0;
-      ::waitpid(w.pid, &status, 0);
-      finish_exit(w, status);
-    }
-  }
-
-  /// Graceful shutdown: stop frames out, done frames (and exits) in.
-  void stop_all() {
-    for (WorkerState& w : workers_) {
-      if (!w.alive || w.stopping) continue;
-      w.stopping = true;
-      Json msg = Json::object();
-      msg.set("t", "stop");
-      send(w, std::move(msg), "stop");
-    }
-    const Clock::time_point deadline = Clock::now() + cfg_.fleet_deadline;
-    while (any_alive() && Clock::now() < deadline) {
-      poll_once(static_cast<int>(cfg_.heartbeat.count()));
-      reap();
-    }
-    if (any_alive()) {
-      RR_ERROR("campaign: workers ignored stop; killing the remainder");
-      kill_all();
-    }
-  }
-
-  /// Last resort: every worker is gone and indices remain.  Finish them
-  /// in-process on the coordinator's own journal; merge handles the rest.
-  void takeover() {
-    std::vector<int> pending;
-    for (int i = 0; i < n_; ++i)
-      if (!done_[static_cast<std::size_t>(i)]) pending.push_back(i);
-    if (pending.empty()) return;
-    RR_WARN("campaign: no workers left; running " << pending.size()
-                                                  << " indices in-process");
-    engine::SweepEngine eng({std::max(1, cfg_.threads_per_worker)});
-    engine::SweepJournal journal(coord_journal_path(cfg_), spec_.params, n_);
-    int pre = 0;
-    for (const int i : pending)
-      if (journal.completed(i)) ++pre;
-    const engine::ResilientReport rep = engine::run_resilient_indices(
-        eng, n_, pending, fn_, &journal, shard_resilient_config(spec_, cfg_));
-    int got = 0;
-    for (const int i : pending) {
-      if (!rep.entries[static_cast<std::size_t>(i)]) continue;
-      ++got;
-      if (!done_[static_cast<std::size_t>(i)]) {
-        done_[static_cast<std::size_t>(i)] = 1;
-        ++done_count_;
-      }
-    }
-    stats.executed += got - pre;
-    stats.resumed += pre;
-    if (rep.outcome == engine::RunOutcome::kBudgetExceeded) abort = true;
-  }
-
-  const CampaignSpec& spec_;
-  const engine::ResilientScenario& fn_;
-  const ServiceConfig& cfg_;
-  const int n_;
-  const bool tracing_;
-  std::vector<std::uint8_t> done_;
-  int done_count_ = 0;
-  std::deque<int> pool_;
-  std::vector<WorkerState> workers_;
-  Clock::time_point last_frame_{};
-  /// Coordinator-side frame trace (flow send/recv events); merged with
-  /// the shard files by write_merged_trace().
-  sim::TraceRecorder trace_;
-  std::uint64_t fseq_ = 0;
-  /// Per-shard fleet parts, folded from each incarnation's last stats
-  /// frame at retirement.
-  std::map<int, obs::Snapshot> shard_stats_;
-};
-
-// ---------------------------------------------------------------------------
-// Result assembly.
-// ---------------------------------------------------------------------------
 
 void fill_counts(CampaignResult& result) {
   result.ok = result.timed_out = result.quarantined = result.not_run = 0;
@@ -993,41 +84,42 @@ CampaignResult serve_from_cache(const CampaignSpec& spec,
   result.outcome = engine::RunOutcome::kClean;  // only clean runs are cached
   // The acceptance contract: a full cache hit counts one hit per scenario
   // served, so `campaign.cache.hit == scenario count` on a repeat query.
-  metrics().cache_hit.add(static_cast<std::uint64_t>(spec.scenarios));
+  cache_hit_counter().add(static_cast<std::uint64_t>(spec.scenarios));
   RR_INFO("campaign cache: hit for " << result.campaign << " ("
                                      << spec.scenarios << " scenarios)");
   return result;
 }
 
-void run_in_process(const CampaignSpec& spec,
-                    const engine::ResilientScenario& fn,
-                    const ServiceConfig& cfg, CampaignResult& result) {
-  // The degenerate shard still produces the full observability surface:
-  // a "coord" fleet part (added by the caller) and, when tracing, a
-  // single-process merged trace on the same wall track the fleet uses.
-  const bool tracing = tracing_enabled(cfg);
+/// Every scenario through run_resilient on one thread pool and one
+/// journal; scenarios already in the journal are served, not recomputed.
+void run_journaled(const CampaignSpec& spec,
+                   const engine::ResilientScenario& fn,
+                   const ServiceConfig& cfg, CampaignResult& result) {
+  const bool tracing = !cfg.trace_path.empty();
   sim::TraceRecorder rec;
-  obs::WallTrace::global().attach(tracing ? &rec : nullptr, "wall/coord");
-  engine::SweepEngine eng({std::max(1, cfg.threads_per_worker)});
-  engine::SweepJournal journal(shard_journal_path(cfg, 0), spec.params,
+  if (tracing) obs::WallTrace::global().attach(&rec, "wall/campaign");
+  engine::SweepEngine eng({run_threads(cfg)});
+  engine::SweepJournal journal(cfg.work_dir + "/journal.jsonl", spec.params,
                                spec.scenarios);
+  engine::ResilientConfig rcfg = cfg.resilient;
+  rcfg.base_seed = spec.base_seed;
+  rcfg.seed_of = spec.seed_of;
   const engine::ResilientReport rep = [&] {
     obs::ProfSpan span("campaign x" + std::to_string(spec.scenarios));
-    return engine::run_resilient(eng, spec.scenarios, fn, &journal,
-                                 shard_resilient_config(spec, cfg));
+    return engine::run_resilient(eng, spec.scenarios, fn, &journal, rcfg);
   }();
   result.entries = rep.entries;
   result.outcome = rep.outcome;
   result.stats.resumed = rep.resumed;
-  result.stats.executed =
-      spec.scenarios - rep.resumed - rep.not_run;
+  result.stats.executed = spec.scenarios - rep.resumed - rep.not_run;
   if (tracing) {
     obs::WallTrace::global().attach(nullptr, "");
     obs::export_counters(obs::MetricsRegistry::global().snapshot(), rec,
-                         obs::wall_now(), "wall/coord");
-    if (write_trace_file(rec, coord_trace_path(cfg)))
-      obs::merge_trace_files({{"coord", coord_trace_path(cfg)}},
-                             cfg.trace_path);
+                         obs::wall_now(), "wall/campaign");
+    std::ostringstream os;
+    rec.write_json(os);
+    if (!write_file_atomic(cfg.trace_path, os.str()))
+      RR_WARN("campaign: could not write trace " << cfg.trace_path);
   }
 }
 
@@ -1047,21 +139,13 @@ CampaignReportBytes campaign_report(const CampaignSpec& spec,
   info.campaign = result.campaign;
   info.params = spec.params;
   info.seed = std::to_string(spec.base_seed);
-  info.threads = cfg.workers;
+  info.threads = run_threads(cfg);
   obs::RunReport report(info);
-  // The report's metrics block is the fleet-merged snapshot, so worker
-  // counters (journal appends, chunk latencies) are in it, not just the
-  // coordinator's own.  The stored fleet is used -- never a fresh global
-  // snapshot -- so repeated calls on one result are byte-identical.
-  if (!result.fleet.empty()) {
-    report.add_snapshot(result.fleet.merged);
-    report.set_extra("fleet", result.fleet.parts_to_json());
-  } else {
-    report.add_snapshot(obs::MetricsRegistry::global().snapshot());
-  }
+  // The stored end-of-run snapshot, never a fresh global one, so
+  // repeated calls on one result are byte-identical.
+  report.add_snapshot(result.metrics);
   Json c = Json::object();
   c.set("scenarios", spec.scenarios)
-      .set("workers", cfg.workers)
       .set("outcome", engine::to_string(result.outcome))
       .set("ok", result.ok)
       .set("timed_out", result.timed_out)
@@ -1069,12 +153,6 @@ CampaignReportBytes campaign_report(const CampaignSpec& spec,
       .set("not_run", result.not_run)
       .set("executed", result.stats.executed)
       .set("resumed", result.stats.resumed)
-      .set("workers_spawned", result.stats.workers_spawned)
-      .set("crashes", result.stats.crashes)
-      .set("respawns", result.stats.respawns)
-      .set("steal_requests", result.stats.steal_requests)
-      .set("steals_granted", result.stats.steals_granted)
-      .set("stolen_indices", result.stats.stolen_indices)
       .set("cache_hit", result.cache_hit);
   report.set_extra("campaign", std::move(c));
   return {report.to_json().dump(2) + "\n", report.to_markdown()};
@@ -1084,8 +162,7 @@ CampaignResult run_campaign(const CampaignSpec& spec,
                             const engine::ResilientScenario& fn,
                             const ServiceConfig& cfg) {
   RR_EXPECTS(spec.scenarios >= 0);
-  RR_EXPECTS(cfg.workers >= 0);
-  RR_EXPECTS(cfg.chunk >= 1);
+  RR_EXPECTS(cfg.workers == 0);
   const std::uint64_t campaign = engine::campaign_hash(spec.params);
   const std::string campaign_id = engine::campaign_hex(campaign);
 
@@ -1104,7 +181,7 @@ CampaignResult run_campaign(const CampaignSpec& spec,
                                          << e.what() << "); recomputing");
       }
     }
-    metrics().cache_miss.inc();
+    cache_miss_counter().inc();
   }
 
   CampaignResult result;
@@ -1117,68 +194,28 @@ CampaignResult run_campaign(const CampaignSpec& spec,
   RR_EXPECTS(!cfg.work_dir.empty());
   IoError dir_err;
   if (!make_dirs(cfg.work_dir, &dir_err)) {
-    // Degrade, don't die: with no work dir the shard journals fall back
-    // to memory-only (and report the run as degraded), but every
-    // scenario still executes.
+    // Degrade, don't die: with no work dir the journal falls back to
+    // memory-only (and reports the run as degraded), but every scenario
+    // still executes.
     RR_ERROR("campaign: " << dir_err.detail
-                          << "; continuing without durable journals");
+                          << "; continuing without a durable journal");
   }
 
   // Flight recorder: every campaign run arms a postmortem destination
   // (unless the host already picked one) and answers SIGUSR1 with a live
-  // ring dump -- the "what is that stuck fleet doing" probe.
+  // ring dump -- the "what is that stuck campaign doing" probe.
   if (!FlightRecorder::global().has_dump_path())
     FlightRecorder::global().set_dump_path(cfg.work_dir + "/flightrec.json");
   FlightRecorder::install_sigusr1();
   FlightRecorder::global().record(
       FlightKind::kMark,
       "campaign " + campaign_id + " start: " +
-          std::to_string(spec.scenarios) + " scenarios, " +
-          std::to_string(cfg.workers) + " workers",
+          std::to_string(spec.scenarios) + " scenarios, threads=" +
+          std::to_string(run_threads(cfg)),
       static_cast<double>(spec.scenarios));
 
-  if (cfg.workers == 0) {
-    run_in_process(spec, fn, cfg, result);
-    result.fleet.add_part("coord", obs::MetricsRegistry::global().snapshot());
-  } else {
-    // A worker death mid-write must surface as EPIPE on our write_frame,
-    // not as a fatal signal.
-    struct ::sigaction ignore{}, saved{};
-    ignore.sa_handler = SIG_IGN;
-    ::sigaction(SIGPIPE, &ignore, &saved);
-    Coordinator coord(spec, fn, cfg);
-    try {
-      coord.run();
-    } catch (...) {
-      ::sigaction(SIGPIPE, &saved, nullptr);
-      throw;
-    }
-    ::sigaction(SIGPIPE, &saved, nullptr);
-    result.stats = coord.stats;
-    coord.write_merged_trace();
-    result.fleet = coord.fleet();
-    result.entries = engine::merge_journal_files(
-        [&] {
-          std::vector<std::string> paths;
-          for (int k = 0; k < cfg.workers; ++k)
-            paths.push_back(shard_journal_path(cfg, k));
-          paths.push_back(coord_journal_path(cfg));
-          return paths;
-        }(),
-        spec.params, spec.scenarios);
-    bool degraded = false;
-    bool missing = false;
-    for (const auto& e : result.entries) {
-      if (!e)
-        missing = true;
-      else if (!e->ok())
-        degraded = true;
-    }
-    result.outcome = coord.abort ? engine::RunOutcome::kBudgetExceeded
-                     : (degraded || missing) ? engine::RunOutcome::kDegraded
-                                             : engine::RunOutcome::kClean;
-  }
-
+  run_journaled(spec, fn, cfg, result);
+  result.metrics = obs::MetricsRegistry::global().snapshot();
   fill_counts(result);
   result.result_bytes = entries_bytes(result.entries);
 

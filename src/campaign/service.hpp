@@ -1,108 +1,75 @@
-// Sharded campaign service (DESIGN.md §11): the multi-process composition
-// of the resilient sweep runtime.
+// Campaign service (DESIGN.md §11): cache -> resilient run -> publish.
 //
-// run_campaign() splits a campaign's scenario index range into shards and
-// forks one worker process per shard.  Each worker drives its shard
-// through engine::run_resilient_indices with its own fsync'd shard
-// journal (campaign-scoped, so it resumes bit-exactly in any process),
-// its own watchdog/retry settings, and a per-shard failure budget.  The
-// coordinator stays single-threaded and event-driven: it polls the
-// workers' frame sockets (campaign/protocol.hpp), scans heartbeat
-// deadlines the same way the scenario watchdog scans start stamps, reaps
-// dead workers with waitpid, respawns crashed ones onto their own shard
-// journal (completed work is served from the journal, not recomputed),
-// and work-steals unstarted index sub-ranges from loaded shards the
-// moment another worker goes idle.  When every index is complete the
-// shard journals are merged into one cross-shard result whose scenario
-// ordering and bytes are identical to a single-process run of the same
-// campaign.
+// run_campaign() does three things, in one process:
 //
-// In front of execution sits the content-addressed result cache
-// (campaign/cache.hpp): a repeated query of the same campaign identity is
-// served from the cached journal/report bytes with zero scenario
-// executions.
+//   1. looks the campaign identity up in the content-addressed result
+//      cache (campaign/cache.hpp); a verified hit serves the cached
+//      journal/report bytes with zero scenario executions;
+//   2. otherwise runs every scenario through engine::run_resilient on a
+//      SweepEngine thread pool, journaled (fsync'd) to
+//      <work_dir>/journal.jsonl -- a rerun on the same work dir after a
+//      crash or kill resumes from that journal, bit-exactly;
+//   3. publishes a clean result into the cache.
+//
+// Crash recovery is rerun-and-resume: a process that dies mid-campaign
+// loses only its in-flight scenarios, and the next run on the same work
+// dir serves everything already journaled.
 #pragma once
 
-#include <chrono>
 #include <cstdint>
 #include <functional>
 #include <optional>
 #include <string>
 #include <vector>
 
-#include "obs/fleet.hpp"
+#include "obs/metrics.hpp"
 #include "sweep_engine/resilient.hpp"
 
 namespace rr::campaign {
 
 /// What to run: the campaign identity is campaign_hash(params), exactly
-/// the identity the shard journals and the result cache are keyed by.
-/// Fold anything that changes results (spec knobs, seed, engine
-/// provenance) into `params`.
+/// the identity the journal and the result cache are keyed by.  Fold
+/// anything that changes results (spec knobs, seed, engine provenance)
+/// into `params`.
 struct CampaignSpec {
   std::string name = "campaign";
   Json params = Json::object();
   int scenarios = 0;
   std::uint64_t base_seed = 0;
-  /// Optional per-index seed override (must match what a single-process
-  /// run of the same study would derive).
+  /// Optional per-index seed override (must match what a standalone
+  /// run_resilient of the same study would derive).
   std::function<std::uint64_t(int)> seed_of;
 };
 
 /// How to run it.
 struct ServiceConfig {
-  /// Forked worker processes; 0 runs the whole campaign in-process
-  /// (still journaled and cache-fronted -- the degenerate shard).
-  int workers = 1;
-  /// SweepEngine threads inside each worker (workers are the primary
-  /// parallelism axis; keep 1 unless scenarios are long).
+  /// Must be 0: campaigns always run in-process.  The field survives
+  /// only because the benchmark package (perfbench/campaign.cpp) sets it;
+  /// it goes once that package is updated.
+  int workers = 0;
+  /// SweepEngine threads for the run (at least 1).  Named for the
+  /// benchmark package, which sets it; it is the run's thread count.
   int threads_per_worker = 1;
-  /// Indices a worker runs between control-socket polls; also the
-  /// minimum remainder worth stealing from.
-  int chunk = 4;
-  /// Coordinator poll cadence and worker idle-heartbeat period.
-  std::chrono::milliseconds heartbeat{50};
-  /// No frame from any worker for this long => assume the fleet is
-  /// wedged, SIGKILL it, and finish the remainder in-process.  The
-  /// coordinator-side analogue of the scenario watchdog.
-  std::chrono::milliseconds fleet_deadline{60'000};
-  /// Respawns allowed per shard before its remainder is reassigned.
-  int max_respawns = 3;
-  /// Directory for shard journals (created if missing).  Required when
-  /// scenarios run; reusing it resumes the campaign's shards.
+  /// Directory for the campaign journal (created if missing).  Required
+  /// when scenarios run; reusing it resumes the campaign.
   std::string work_dir;
   /// Result-cache root; empty disables caching.
   std::string cache_dir;
-  /// Per-shard resilience settings (retry, watchdog deadline, failure
-  /// budget).  base_seed/seed_of are taken from the spec, not from here.
+  /// Resilience settings (retry, watchdog deadline, failure budget).
+  /// base_seed/seed_of are taken from the spec, not from here.
   engine::ResilientConfig resilient{};
-  /// Fault-injection hook: shard `crash_shard`'s first incarnation dies
-  /// via the journal crash hook (std::_Exit(137), fault::ExitCode::kCrash)
-  /// after `crash_after` appends -- deterministic mid-shard death for the
-  /// respawn path.  Respawns are not re-armed.
-  int crash_shard = -1;
-  int crash_after = 0;
-  /// Merged distributed trace: when set (and work_dir is usable), every
-  /// process writes a per-incarnation Chrome trace file into work_dir
-  /// (ProfSpan wall spans, frame instants, flow events pairing frame
-  /// send->recv) and the coordinator merges them all into this path,
-  /// one Perfetto process row per shard.  Empty disables tracing.
+  /// Chrome trace of the run (ProfSpan wall spans plus the final
+  /// counter values), written to this path; empty disables tracing.
   std::string trace_path;
 };
 
 struct CampaignStats {
-  int workers_spawned = 0;
-  int crashes = 0;
-  int respawns = 0;
-  int steal_requests = 0;
-  int steals_granted = 0;   ///< steal replies that released work
-  int stolen_indices = 0;
-  int executed = 0;         ///< scenarios actually computed this run
-  int resumed = 0;          ///< served from pre-existing shard journals
+  int executed = 0;  ///< scenarios actually computed this run
+  int resumed = 0;   ///< served from a pre-existing journal
 };
 
 struct CampaignResult {
-  /// Merged cross-shard entries in index order (nullopt = never ran).
+  /// Entries in index order (nullopt = never ran).
   std::vector<std::optional<engine::JournalEntry>> entries;
   engine::RunOutcome outcome = engine::RunOutcome::kClean;
   bool cache_hit = false;
@@ -114,12 +81,10 @@ struct CampaignResult {
   std::string cached_report_json;
   std::string cached_report_md;
   CampaignStats stats;
-  /// Fleet-wide metrics: every worker ships absolute registry snapshots
-  /// over `stats` frames; the coordinator folds each shard's last
-  /// snapshot (across incarnations) into a labeled part ("coord", "0",
-  /// "1", ...) and `merged` sums them exactly.  Empty on a cache hit
-  /// (the cached report carries the populating run's fleet block).
-  obs::FleetSnapshot fleet;
+  /// The global metrics registry, snapshotted when the run ended; the
+  /// report's metrics block.  Empty on a cache hit (the cached report
+  /// carries the populating run's metrics).
+  obs::Snapshot metrics;
   int ok = 0;
   int timed_out = 0;
   int quarantined = 0;
@@ -133,18 +98,16 @@ struct CampaignResult {
 };
 
 /// Execute (or serve) the campaign.  `fn` must be deterministic per
-/// (index, seed) -- that is what makes shard merges, respawn resumes, and
-/// cache hits bit-exact.  The function is called in forked worker
-/// processes (and in-process for workers == 0 or coordinator takeover).
+/// (index, seed) -- that is what makes resumes and cache hits bit-exact.
 CampaignResult run_campaign(const CampaignSpec& spec,
                             const engine::ResilientScenario& fn,
                             const ServiceConfig& cfg);
 
 /// The report.json/report.md pair for a finished campaign: rr-run-report
-/// whose "metrics" block is the fleet-merged snapshot (worker counters
-/// included), with per-shard wire snapshots under "extra.fleet" and the
-/// shard stats under "extra.campaign".  On a cache hit the cached pair
-/// is returned verbatim instead of being rebuilt, so a hit's report is
+/// whose "metrics" block is the snapshot stored in the result, with the
+/// campaign stats under "extra.campaign".  Repeated calls on one result
+/// are byte-identical.  On a cache hit the cached pair is returned
+/// verbatim instead of being rebuilt, so a hit's report is
 /// byte-identical to the populating run's.
 struct CampaignReportBytes {
   std::string json;

@@ -71,7 +71,7 @@ class Element {
   Wid recv(DeId src, int stream);
 
   // -- completion -----------------------------------------------------------
-  bool test(Wid wid) const;                ///< dacs_test: non-blocking poll
+  bool test(Wid wid) const;                ///< dacs_test: non-blocking check
   sim::Task<void> wait(Wid wid);           ///< dacs_wait: suspend until done
   std::vector<double> take_received(Wid wid);  ///< payload of a completed recv
 

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <sstream>
 
-#include "obs/fleet.hpp"
 #include "sim/simulator.hpp"
 
 namespace rr::obs {
@@ -69,11 +68,10 @@ std::string prometheus_name(std::string_view name) {
 
 namespace {
 
-/// One metric's samples (and, when `header`, its HELP/TYPE block).
-/// `labels` render as {k="v",...} on plain samples and after `le` on
-/// bucket samples.
+/// One metric's HELP/TYPE block and samples.  `labels` render as
+/// {k="v",...} on plain samples and after `le` on bucket samples.
 void prometheus_block(std::ostream& os, const MetricSnapshot& m,
-                      const PrometheusLabels& labels, bool header) {
+                      const PrometheusLabels& labels) {
   const std::string name = prometheus_name(m.name);
   std::string lab;
   for (const auto& [k, v] : labels) {
@@ -81,10 +79,8 @@ void prometheus_block(std::ostream& os, const MetricSnapshot& m,
     lab += k + "=\"" + v + "\"";
   }
   const std::string plain = lab.empty() ? "" : "{" + lab + "}";
-  if (header) {
-    os << "# HELP " << name << ' ' << m.name << '\n';
-    os << "# TYPE " << name << ' ' << to_string(m.kind) << '\n';
-  }
+  os << "# HELP " << name << ' ' << m.name << '\n';
+  os << "# TYPE " << name << ' ' << to_string(m.kind) << '\n';
   switch (m.kind) {
     case MetricKind::kCounter:
       os << name << plain << ' ' << m.ivalue << '\n';
@@ -115,18 +111,7 @@ void prometheus_block(std::ostream& os, const MetricSnapshot& m,
 std::string to_prometheus(const Snapshot& s, const PrometheusLabels& labels) {
   std::ostringstream os;
   for (const auto& m : s.metrics)
-    prometheus_block(os, m, labels, /*header=*/true);
-  return os.str();
-}
-
-std::string to_prometheus(const FleetSnapshot& fleet) {
-  std::ostringstream os;
-  for (const auto& m : fleet.merged.metrics) {
-    prometheus_block(os, m, {}, /*header=*/true);
-    for (const auto& [label, snap] : fleet.parts)
-      if (const MetricSnapshot* pm = snap.find(m.name))
-        prometheus_block(os, *pm, {{"shard", label}}, /*header=*/false);
-  }
+    prometheus_block(os, m, labels);
   return os.str();
 }
 

@@ -6,7 +6,7 @@
 //               every run report embeds;
 //   * Prometheus text exposition -- `# HELP` + `# TYPE` + samples,
 //               histogram _bucket{le="..."}/_sum/_count convention,
-//               optional label sets ({shard="3"}), metric names
+//               optional label sets ({k="v"}), metric names
 //               sanitized to [a-zA-Z0-9_:];
 //   * Chrome counter events -- counters and gauges emitted as "C" events
 //               into a sim::TraceRecorder wall track, so metric values
@@ -28,24 +28,18 @@ class Simulator;
 
 namespace rr::obs {
 
-struct FleetSnapshot;
-
 /// JSON snapshot: {"name": {"type":"counter","value":N}, ...}.
 Json to_json(const Snapshot& s);
 
 /// One {name, value} pair per sample, rendered into every sample line
 /// (histograms get them after `le`), so expositions of the same metric
-/// from different shards don't collide.
+/// from different sources don't collide.
 using PrometheusLabels = std::vector<std::pair<std::string, std::string>>;
 
 /// Prometheus text exposition format: a `# HELP` (the original dotted
 /// metric name) + `# TYPE` header per metric, then its samples.
 std::string to_prometheus(const Snapshot& s,
                           const PrometheusLabels& labels = {});
-
-/// Fleet exposition: the merged totals unlabeled, then each part's
-/// samples labeled {shard="<label>"}; HELP/TYPE emitted once per metric.
-std::string to_prometheus(const FleetSnapshot& fleet);
 
 /// Sanitized Prometheus metric name: [a-zA-Z0-9_:], '.' and '-' -> '_'.
 std::string prometheus_name(std::string_view name);

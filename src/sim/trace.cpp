@@ -33,19 +33,7 @@ void TraceRecorder::instant(std::string name, std::string track, TimePoint at) {
 void TraceRecorder::counter(std::string name, std::string track, TimePoint at,
                             double value) {
   events_.push_back(Event{std::move(name), std::move(track), at.ps(), at.ps(),
-                          Kind::kCounter, value, 0});
-}
-
-void TraceRecorder::flow_begin(std::string name, std::string track,
-                               TimePoint at, std::uint64_t id) {
-  events_.push_back(Event{std::move(name), std::move(track), at.ps(), at.ps(),
-                          Kind::kFlowBegin, 0.0, id});
-}
-
-void TraceRecorder::flow_end(std::string name, std::string track, TimePoint at,
-                             std::uint64_t id) {
-  events_.push_back(Event{std::move(name), std::move(track), at.ps(), at.ps(),
-                          Kind::kFlowEnd, 0.0, id});
+                          Kind::kCounter, value});
 }
 
 std::size_t TraceRecorder::open_spans() const {
@@ -59,13 +47,6 @@ std::size_t TraceRecorder::counter_samples() const {
   std::size_t n = 0;
   for (const Event& ev : events_)
     if (ev.kind == Kind::kCounter) ++n;
-  return n;
-}
-
-std::size_t TraceRecorder::flow_events() const {
-  std::size_t n = 0;
-  for (const Event& ev : events_)
-    if (ev.kind == Kind::kFlowBegin || ev.kind == Kind::kFlowEnd) ++n;
   return n;
 }
 
@@ -123,19 +104,6 @@ void TraceRecorder::write_json(std::ostream& os) const {
         os << "}";
         break;
       }
-      case Kind::kFlowBegin:
-      case Kind::kFlowEnd:
-        // Perfetto binds "s"/"f" pairs by (cat, id); "bp":"e" anchors the
-        // arrow head on the enclosing slice's end rather than requiring
-        // a following one.
-        os << "{\"ph\":\"" << (ev.kind == Kind::kFlowBegin ? 's' : 'f')
-           << "\",\"cat\":\"frame\",\"id\":" << ev.flow_id
-           << (ev.kind == Kind::kFlowEnd ? ",\"bp\":\"e\"" : "")
-           << ",\"pid\":1,\"tid\":" << tid << ",\"ts\":" << start_us
-           << ",\"name\":";
-        write_json_string(os, ev.name);
-        os << "}";
-        break;
     }
   }
   os << "]}";

@@ -38,22 +38,10 @@ class TraceRecorder {
   /// queue-depth / tombstone / cancelled-run statistics over time.
   void counter(std::string name, std::string track, TimePoint at, double value);
 
-  /// Flow-event endpoints (Chrome "s"/"f" events, category "frame"):
-  /// call flow_begin where a message leaves and flow_end with the same
-  /// `id` where it arrives; after a trace merge re-homes each process
-  /// onto its own pid, the pair renders as an arrow between tracks --
-  /// how a campaign steal request is followed from thief to victim.
-  void flow_begin(std::string name, std::string track, TimePoint at,
-                  std::uint64_t id);
-  void flow_end(std::string name, std::string track, TimePoint at,
-                std::uint64_t id);
-
   /// Number of recorded spans + instants + counter samples.
   std::size_t size() const { return events_.size(); }
   /// Number of counter samples recorded (subset of size()).
   std::size_t counter_samples() const;
-  /// Number of flow endpoints recorded (subset of size()).
-  std::size_t flow_events() const;
   /// Last recorded value of counter `name` on `track`, or NaN if none.
   double last_counter(std::string_view name, std::string_view track) const;
   /// Number of spans still open.
@@ -70,8 +58,6 @@ class TraceRecorder {
     kSpan,
     kInstant,
     kCounter,
-    kFlowBegin,
-    kFlowEnd,
   };
   struct Event {
     std::string name;
@@ -80,7 +66,6 @@ class TraceRecorder {
     std::int64_t end_ps = -1;  ///< -1: still open; start==end: instant
     Kind kind = Kind::kSpan;
     double value = 0.0;        ///< counter samples only
-    std::uint64_t flow_id = 0; ///< flow endpoints only
   };
   std::vector<Event> events_;
 };

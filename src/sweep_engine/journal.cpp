@@ -264,38 +264,6 @@ std::vector<std::optional<JournalEntry>> read_journal_entries(
   return entries;
 }
 
-std::vector<std::optional<JournalEntry>> merge_journal_files(
-    const std::vector<std::string>& paths, const Json& params, int scenarios) {
-  std::vector<std::optional<JournalEntry>> merged(
-      static_cast<std::size_t>(scenarios));
-  for (const auto& path : paths) {
-    std::vector<std::optional<JournalEntry>> shard;
-    try {
-      shard = read_journal_entries(path, params, scenarios);
-    } catch (const std::exception& e) {
-      // One bad shard must not take down the merge: its indices are
-      // simply absent and the caller recomputes them.
-      JournalMetrics::instance().corrupt.inc();
-      RR_WARN("journal merge: skipping unloadable shard " << path << ": "
-                                                          << e.what());
-      continue;
-    }
-    for (int i = 0; i < scenarios; ++i) {
-      const auto idx = static_cast<std::size_t>(i);
-      if (!shard[idx]) continue;
-      if (!merged[idx]) {
-        merged[idx] = shard[idx];
-        continue;
-      }
-      if (to_json(*merged[idx]).dump() != to_json(*shard[idx]).dump())
-        RR_WARN("journal merge: index " << i << " differs between shards"
-                                        << " (keeping the first record); "
-                                        << path << " loses");
-    }
-  }
-  return merged;
-}
-
 SweepJournal::SweepJournal(std::string path, const Json& params, int scenarios)
     : path_(std::move(path)), scenarios_(scenarios) {
   RR_EXPECTS(scenarios_ >= 0);

@@ -95,18 +95,6 @@ std::string campaign_hex(std::uint64_t campaign);
 std::vector<std::optional<JournalEntry>> read_journal_entries(
     const std::string& path, const Json& params, int scenarios);
 
-/// Union-merge several shard journals of one campaign into a single
-/// entry vector in index order.  Shards normally hold disjoint index
-/// sets; when two journals both carry an index (a respawn raced a
-/// takeover), the first path's record wins and a byte-level mismatch is
-/// logged -- deterministic scenarios make the records identical anyway.
-/// Missing files are skipped, and a shard that fails to load (corrupt or
-/// unreadable) is skipped with a warning and counted in
-/// `journal.corrupt` -- its indices are simply recomputed -- so one bad
-/// shard cannot take down a merge.
-std::vector<std::optional<JournalEntry>> merge_journal_files(
-    const std::vector<std::string>& paths, const Json& params, int scenarios);
-
 class SweepJournal {
  public:
   /// Create `path` (writing the header) or resume an existing journal.

@@ -117,28 +117,12 @@ ResilientReport run_resilient(SweepEngine& eng, int n,
                               const ResilientScenario& fn,
                               SweepJournal* journal,
                               const ResilientConfig& cfg) {
-  std::vector<int> indices(static_cast<std::size_t>(std::max(n, 0)));
-  for (int i = 0; i < n; ++i) indices[static_cast<std::size_t>(i)] = i;
-  return run_resilient_indices(eng, n, indices, fn, journal, cfg);
-}
-
-ResilientReport run_resilient_indices(SweepEngine& eng, int n,
-                                      const std::vector<int>& indices,
-                                      const ResilientScenario& fn,
-                                      SweepJournal* journal,
-                                      const ResilientConfig& cfg) {
   RR_EXPECTS(n >= 0);
   RR_EXPECTS(cfg.retry.max_attempts >= 1);
   RR_EXPECTS(!journal || journal->scenarios() == n);
 
   ResilientReport report;
   report.entries.resize(static_cast<std::size_t>(n));
-  std::vector<char> requested(static_cast<std::size_t>(n), 0);
-  for (const int i : indices) {
-    RR_EXPECTS(i >= 0 && i < n);
-    RR_EXPECTS(!requested[static_cast<std::size_t>(i)]);
-    requested[static_cast<std::size_t>(i)] = 1;
-  }
 
   const auto seed_of = [&cfg](int i) {
     return cfg.seed_of ? cfg.seed_of(i)
@@ -193,9 +177,9 @@ ResilientReport run_resilient_indices(SweepEngine& eng, int n,
     const std::int64_t deadline_ns =
         std::chrono::duration_cast<std::chrono::nanoseconds>(cfg.deadline)
             .count();
-    const auto poll = std::max<std::chrono::milliseconds>(
+    const auto scan_period = std::max<std::chrono::milliseconds>(
         std::chrono::milliseconds(1), cfg.deadline / 8);
-    watchdog = std::thread([&, deadline_ns, poll] {
+    watchdog = std::thread([&, deadline_ns, scan_period] {
       while (!batch_done.load(std::memory_order_acquire)) {
         const std::int64_t now = now_ns();
         for (int i = 0; i < n; ++i) {
@@ -206,7 +190,7 @@ ResilientReport run_resilient_indices(SweepEngine& eng, int n,
               now - t0 > deadline_ns)
             tokens[idx].cancel();
         }
-        std::this_thread::sleep_for(poll);
+        std::this_thread::sleep_for(scan_period);
       }
     });
   }
@@ -281,12 +265,11 @@ ResilientReport run_resilient_indices(SweepEngine& eng, int n,
     }
   };
 
-  // The pool fans out over the not-yet-journaled requested indices only;
-  // slots are still keyed by global index, so the determinism contract
-  // (results keyed by index, seeds derived from index) is unchanged.
+  // The pool fans out over the not-yet-journaled indices only; slots
+  // are keyed by index and seeds derive from the index, so a resumed
+  // run's results match an uninterrupted one's.
   std::vector<int> todo;
-  todo.reserve(indices.size());
-  for (const int i : indices)
+  for (int i = 0; i < n; ++i)
     if (!report.entries[static_cast<std::size_t>(i)]) todo.push_back(i);
   if (!todo.empty())
     eng.pool().for_each_index(
@@ -299,7 +282,7 @@ ResilientReport run_resilient_indices(SweepEngine& eng, int n,
   for (int i = 0; i < n; ++i) {
     const auto& e = report.entries[static_cast<std::size_t>(i)];
     if (!e) {
-      if (requested[static_cast<std::size_t>(i)]) ++report.not_run;
+      ++report.not_run;
       continue;
     }
     switch (e->status) {

@@ -93,24 +93,6 @@ ResilientReport run_resilient(SweepEngine& eng, int n,
                               SweepJournal* journal,
                               const ResilientConfig& cfg = {});
 
-/// Shard-range variant: run only `indices` (each unique, in [0, n)) of an
-/// n-scenario campaign.  This is how a campaign worker executes its shard
-/// of a sharded run: the journal stays scoped to the whole campaign
-/// (opened with `scenarios == n`, entries land at their global index), so
-/// shard journals from different processes merge into one campaign and a
-/// worker's journal resumes bit-exactly in any process.
-///
-/// Every journaled entry -- inside or outside `indices` -- is preloaded
-/// into the report and counted (the failure budget is a property of the
-/// campaign, not of one call); `not_run` counts only requested indices a
-/// budget abort skipped.  Indices neither requested nor journaled stay
-/// nullopt and are not counted.
-ResilientReport run_resilient_indices(SweepEngine& eng, int n,
-                                      const std::vector<int>& indices,
-                                      const ResilientScenario& fn,
-                                      SweepJournal* journal,
-                                      const ResilientConfig& cfg = {});
-
 /// The campaign's final artifact: one compact JSON line per completed
 /// entry in index order.  Because entries hold no wall-clock state and
 /// numbers round-trip bit-exactly, this is byte-identical between an

@@ -12,9 +12,8 @@
 //
 // The active environment is process-global on purpose: the layers that
 // persist state (util/fileio, sweep_engine/journal, campaign/cache,
-// obs/report) live in different libraries and different processes --
-// a forked campaign worker inherits the installed environment, so one
-// installation chaoses the whole fleet.
+// obs/report) live in different libraries, so one installation chaoses
+// every one of them.
 //
 // Fault schedules are deterministic: every operation draws its fate from
 // a counter-keyed SplitMix64 stream, so a single-threaded run replays an

@@ -53,7 +53,7 @@ bool make_dirs(const std::string& path, IoError* err = nullptr);
 /// Advisory whole-file lock (flock LOCK_EX) held for the object's
 /// lifetime; creates the lock file if needed and blocks until acquired.
 /// Serializes cross-process critical sections -- the campaign result
-/// cache takes one around publish so two coordinators finishing the same
+/// cache takes one around publish so two processes finishing the same
 /// campaign race on the rename, not on half-written entries.  The lock
 /// file itself is never deleted (deleting would un-serialize a waiter).
 class FileLock {

@@ -55,7 +55,7 @@ struct FdWriter {
   }
 
   /// %.17g is not signal-safe; integers (the common case: counters,
-  /// shard ids, log levels) print exactly, everything else gets six
+  /// log levels) print exactly, everything else gets six
   /// fixed decimals -- plenty for a postmortem.
   void num(double v) noexcept {
     if (v != v) {  // NaN has no JSON spelling
@@ -117,7 +117,6 @@ const char* to_string(FlightKind k) {
   switch (k) {
     case FlightKind::kLog: return "log";
     case FlightKind::kMetric: return "metric";
-    case FlightKind::kFrame: return "frame";
     case FlightKind::kMark: return "mark";
   }
   return "?";

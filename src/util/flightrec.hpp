@@ -1,14 +1,14 @@
 // Crash flight recorder (DESIGN.md §15): a fixed-size lock-free ring of
 // the most recent structured events -- log records, key metric deltas,
-// control frames, and free-form marks -- dumped atomically to a JSON
-// postmortem when a run goes bad, so a degraded chaos campaign leaves a
-// "what happened just before" artifact instead of only an exit code.
+// and free-form marks -- dumped atomically to a JSON postmortem when a
+// run goes bad, so a degraded chaos campaign leaves a "what happened
+// just before" artifact instead of only an exit code.
 //
 // Writers pay one relaxed fetch_add plus a bounded memcpy; there are no
 // locks and no allocation, so record() is safe from any thread including
 // the logger's hot path.  dump_to() uses only async-signal-safe syscalls
 // (open/write/close/rename) and hand-rolled formatting, so the SIGUSR1
-// handler and the worker-exit path can call it directly.
+// handler and the exit path can call it directly.
 //
 // Torn-slot protocol: each slot carries a commit word holding ticket+1.
 // A writer zeroes commit, fills the slot, then store-releases ticket+1;
@@ -18,9 +18,9 @@
 // newer ticket -- acceptable for a postmortem buffer, never unsafe.
 //
 // Dump triggers (wired by the campaign service and benches):
-//   * any exit path with fault::ExitCode >= kDegraded (dump_on_exit),
-//   * coordinator-side worker crash detection,
-//   * SIGUSR1 (install_sigusr1), for poking a live wedged fleet.
+//   * a campaign that ends with fault::ExitCode >= kDegraded, and any
+//     exit path with such a code (dump_on_exit),
+//   * SIGUSR1 (install_sigusr1), for poking a live wedged run.
 #pragma once
 
 #include <atomic>
@@ -30,7 +30,7 @@
 
 namespace rr {
 
-enum class FlightKind : std::uint8_t { kLog = 0, kMetric = 1, kFrame = 2, kMark = 3 };
+enum class FlightKind : std::uint8_t { kLog, kMetric, kMark };
 
 const char* to_string(FlightKind k);
 
@@ -45,7 +45,7 @@ class FlightRecorder {
   FlightRecorder& operator=(const FlightRecorder&) = delete;
 
   /// Append one event; lock-free, allocation-free, truncates `msg` to
-  /// kMsgBytes.  `value` carries the metric delta / shard id / log level.
+  /// kMsgBytes.  `value` carries the metric delta / log level.
   void record(FlightKind kind, std::string_view msg,
               double value = 0.0) noexcept;
 
@@ -73,7 +73,7 @@ class FlightRecorder {
   void reset() noexcept;
 
   /// Install a SIGUSR1 handler that dumps global() to its configured
-  /// path -- a live postmortem poke for a wedged fleet.  Idempotent.
+  /// path -- a live postmortem poke for a wedged run.  Idempotent.
   static void install_sigusr1();
 
   /// Dump global() when `exit_code` is degraded or worse (>= 3, the

@@ -15,14 +15,11 @@ namespace rr {
 namespace {
 
 std::atomic<LogLevel> g_level{LogLevel::kWarn};
-std::atomic<int> g_shard{-1};
 
-// The JSONL sink and its path are guarded by g_mu (cold path only: the
-// level check in RR_LOG already filtered).
+// The JSONL sink is guarded by g_mu (cold path only: the level check in
+// RR_LOG already filtered).
 std::mutex g_mu;
 std::FILE* g_json = nullptr;
-std::string g_json_path;
-std::string g_prefix;
 
 std::once_flag g_env_once;
 
@@ -44,13 +41,8 @@ void init_from_env_locked() {
     if (const auto level = log_level_from_string(env))
       g_level.store(*level, std::memory_order_relaxed);
   }
-  const char* json = std::getenv("RR_LOG_JSON");
-  const std::string path = json ? json : "";
-  if (path != g_json_path) {
-    if (g_json) std::fclose(g_json);
-    g_json = path.empty() ? nullptr : std::fopen(path.c_str(), "a");
-    g_json_path = g_json ? path : "";
-  }
+  if (const char* json = std::getenv("RR_LOG_JSON"); json && *json)
+    g_json = std::fopen(json, "a");
 }
 
 void ensure_env_init() {
@@ -97,35 +89,6 @@ void set_log_json_path(const std::string& path) {
   std::lock_guard lock(g_mu);
   if (g_json) std::fclose(g_json);
   g_json = path.empty() ? nullptr : std::fopen(path.c_str(), "a");
-  g_json_path = g_json ? path : "";
-}
-
-std::string log_json_path() {
-  ensure_env_init();
-  std::lock_guard lock(g_mu);
-  return g_json_path;
-}
-
-void set_log_prefix(const std::string& prefix) {
-  std::lock_guard lock(g_mu);
-  g_prefix = prefix;
-}
-
-std::string log_prefix() {
-  std::lock_guard lock(g_mu);
-  return g_prefix;
-}
-
-void set_log_shard(int shard) {
-  g_shard.store(shard, std::memory_order_relaxed);
-}
-
-int log_shard() { return g_shard.load(std::memory_order_relaxed); }
-
-void log_init_from_env() {
-  ensure_env_init();  // make sure the once-flag cannot fire after us
-  std::lock_guard lock(g_mu);
-  init_from_env_locked();
 }
 
 namespace detail {
@@ -134,19 +97,12 @@ void log_emit(LogLevel level, const std::string& msg) {
   ensure_env_init();
   const int tid = thread_id();
   std::lock_guard lock(g_mu);
-  if (g_prefix.empty())
-    std::fprintf(stderr, "[%s] %s\n", to_string(level), msg.c_str());
-  else
-    std::fprintf(stderr, "[%s] [%s] %s\n", to_string(level), g_prefix.c_str(),
-                 msg.c_str());
-  const int shard = g_shard.load(std::memory_order_relaxed);
+  std::fprintf(stderr, "[%s] %s\n", to_string(level), msg.c_str());
   if (g_json) {
     Json record = Json::object();
     record.set("ts", unix_seconds())
         .set("level", to_string(level))
         .set("thread", tid);
-    if (!g_prefix.empty()) record.set("prefix", g_prefix);
-    if (shard >= 0) record.set("shard", shard);
     record.set("msg", msg);
     const std::string line = record.dump();
     std::fprintf(g_json, "%s\n", line.c_str());
@@ -154,10 +110,9 @@ void log_emit(LogLevel level, const std::string& msg) {
   }
   // Every emitted record also lands in the crash flight recorder, so a
   // postmortem dump carries the last few log lines without any sink
-  // being configured.  value = log level (shard travels in the message).
+  // being configured.  value = log level.
   FlightRecorder::global().record(
-      FlightKind::kLog, g_prefix.empty() ? msg : "[" + g_prefix + "] " + msg,
-      static_cast<double>(static_cast<int>(level)));
+      FlightKind::kLog, msg, static_cast<double>(static_cast<int>(level)));
 }
 
 }  // namespace detail

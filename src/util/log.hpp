@@ -32,29 +32,6 @@ LogLevel log_level();
 /// RR_LOG_JSON at first use.
 void set_log_json_path(const std::string& path);
 
-/// The JSONL sink currently in effect ("" if none) -- so a coordinator
-/// can export it (with the level) into the environment before forking
-/// workers, and the workers' log_init_from_env() picks both up.
-std::string log_json_path();
-
-/// Tag prepended (bracketed) to every emitted line and recorded as a
-/// "prefix" field in the JSONL sink.  The campaign workers set this to
-/// "shard <k>" after fork so interleaved coordinator/worker output is
-/// attributable; empty (the default) disables.
-void set_log_prefix(const std::string& prefix);
-std::string log_prefix();
-
-/// Structured shard id recorded as a "shard" field in every JSONL
-/// record, so merged fleet logs are machine-filterable (the text prefix
-/// above is for humans; this field is for tools).  Negative (the
-/// default) disables the field.  Campaign workers set it after fork.
-void set_log_shard(int shard);
-int log_shard();
-
-/// Re-read RR_LOG_LEVEL / RR_LOG_JSON now (tests; normal code relies on
-/// the automatic first-use initialization).
-void log_init_from_env();
-
 namespace detail {
 void log_emit(LogLevel level, const std::string& msg);
 }

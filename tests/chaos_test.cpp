@@ -384,8 +384,8 @@ TEST(CacheChaosTest, FailedPublishLeavesNoPartialEntry) {
 }
 
 // ---------------------------------------------------------------------------
-// Mini chaos fuzz: the driver's invariants at unit-test scale, fully
-// in-process (workers = 0), so it runs under every sanitizer.
+// Mini chaos fuzz: the driver's invariants at unit-test scale; campaigns
+// run in-process, so it runs under every sanitizer.
 // ---------------------------------------------------------------------------
 
 TEST(ChaosFuzzTest, InProcessCampaignsSurviveSeededSchedules) {
@@ -399,7 +399,6 @@ TEST(ChaosFuzzTest, InProcessCampaignsSurviveSeededSchedules) {
 
   // Fault-free reference bytes.
   campaign::ServiceConfig ref_cfg;
-  ref_cfg.workers = 0;
   ref_cfg.work_dir = base + "/ref";
   const std::string reference =
       campaign::run_campaign(spec, plain_fn(), ref_cfg).result_bytes;
@@ -409,7 +408,6 @@ TEST(ChaosFuzzTest, InProcessCampaignsSurviveSeededSchedules) {
   for (std::uint64_t s = 0; s < 16; ++s) {
     const std::string dir = base + "/s" + std::to_string(s);
     campaign::ServiceConfig cfg;
-    cfg.workers = 0;
     cfg.work_dir = dir + "/work";
     cfg.cache_dir = dir + "/cache";
     ChaosConfig ccfg;

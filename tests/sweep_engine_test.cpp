@@ -711,122 +711,48 @@ TEST(ResilientRun, KillAndResumeProducesByteIdenticalResults) {
 }
 
 // ---------------------------------------------------------------------------
-// Shard-range runs and cross-journal merges (the campaign service's
-// building blocks): a worker-written shard journal must resume bit-exactly
-// in-process, and shard journals must union into the single-process bytes.
+// Campaign identity and partial-journal resume (the campaign service's
+// building blocks): a journal holding any subset of a campaign's entries
+// resumes bit-exactly in a fresh process.
 // ---------------------------------------------------------------------------
 
-TEST(ShardRuns, CampaignHexIsStableLowercasePadded) {
+TEST(SweepJournal, CampaignHexIsStableLowercasePadded) {
   EXPECT_EQ(engine::campaign_hex(0x1fULL), "000000000000001f");
   EXPECT_EQ(engine::campaign_hex(0xDEADBEEFCAFE1234ULL), "deadbeefcafe1234");
 }
 
-TEST(ShardRuns, IndicesSubsetRunsOnlyRequestedSlots) {
-  const std::string path = tmp_path("journal-subset");
-  std::remove(path.c_str());
-  engine::SweepEngine eng({2});
-  engine::SweepJournal journal(path, demo_params(), 6);
-  const auto fn = [](int i, const engine::CancelToken&) {
-    return demo_metrics(i);
-  };
-  const auto report =
-      engine::run_resilient_indices(eng, 6, {1, 3, 5}, fn, &journal, {});
-  EXPECT_EQ(report.ok, 3);
-  EXPECT_EQ(report.not_run, 0);
-  ASSERT_EQ(report.entries.size(), 6u);
-  EXPECT_FALSE(report.entries[0].has_value());
-  EXPECT_TRUE(report.entries[1].has_value());
-  EXPECT_FALSE(report.entries[2].has_value());
-  EXPECT_TRUE(report.entries[5].has_value());
-  EXPECT_EQ(journal.completed_count(), 3u);
-  std::remove(path.c_str());
-}
-
-TEST(ShardRuns, ShardJournalsMergeByteIdenticallyToFullRun) {
-  const int n = 8;
-  const auto fn = [](int i, const engine::CancelToken&) {
-    return demo_metrics(i);
-  };
-
-  // Golden: one uninterrupted full run.
-  const std::string golden_path = tmp_path("journal-merge-golden");
-  std::remove(golden_path.c_str());
-  std::string golden;
-  {
-    engine::SweepEngine eng({1});
-    engine::SweepJournal journal(golden_path, demo_params(), n);
-    const auto report = engine::run_resilient(eng, n, fn, &journal, {});
-    ASSERT_EQ(report.ok, n);
-    std::ostringstream os;
-    engine::write_entries_jsonl(report.entries, os);
-    golden = os.str();
-  }
-
-  // Two disjoint shards, separate campaign-scoped journals, interleaved
-  // index sets (as work-stealing would leave them).
-  const std::string a = tmp_path("journal-merge-a");
-  const std::string b = tmp_path("journal-merge-b");
-  std::remove(a.c_str());
-  std::remove(b.c_str());
-  {
-    engine::SweepEngine eng({2});
-    engine::SweepJournal ja(a, demo_params(), n);
-    engine::SweepJournal jb(b, demo_params(), n);
-    ASSERT_EQ(
-        engine::run_resilient_indices(eng, n, {0, 3, 4, 7}, fn, &ja, {}).ok,
-        4);
-    ASSERT_EQ(
-        engine::run_resilient_indices(eng, n, {1, 2, 5, 6}, fn, &jb, {}).ok,
-        4);
-  }
-
-  const auto merged = engine::merge_journal_files(
-      {a, b, tmp_path("journal-merge-missing")}, demo_params(), n);
-  std::ostringstream os;
-  engine::write_entries_jsonl(merged, os);
-  EXPECT_EQ(os.str(), golden);
-
-  // read_journal_entries sees one shard's slots without touching the file.
-  const auto only_a = engine::read_journal_entries(a, demo_params(), n);
-  EXPECT_TRUE(only_a[0].has_value());
-  EXPECT_FALSE(only_a[1].has_value());
-  std::remove(a.c_str());
-  std::remove(b.c_str());
-  std::remove(golden_path.c_str());
-}
-
-TEST(ShardRuns, WorkerJournalResumesBitExactlyInProcess) {
+TEST(ResilientRun, PartialJournalResumesBitExactly) {
   const int n = 6;
   const auto fn = [](int i, const engine::CancelToken&) {
     return demo_metrics(i);
   };
 
-  const std::string golden_path = tmp_path("journal-takeover-golden");
+  const std::string golden_path = tmp_path("journal-partial-golden");
   std::remove(golden_path.c_str());
   std::string golden;
+  engine::ResilientReport full;
   {
     engine::SweepEngine eng({1});
     engine::SweepJournal journal(golden_path, demo_params(), n);
-    const auto report = engine::run_resilient(eng, n, fn, &journal, {});
-    ASSERT_EQ(report.ok, n);
+    full = engine::run_resilient(eng, n, fn, &journal, {});
+    ASSERT_EQ(full.ok, n);
     std::ostringstream os;
-    engine::write_entries_jsonl(report.entries, os);
+    engine::write_entries_jsonl(full.entries, os);
     golden = os.str();
   }
 
-  // "Worker": journals a shard's worth of the campaign, then disappears.
-  const std::string path = tmp_path("journal-takeover");
+  // An earlier run journaled a scattered subset of the campaign, then
+  // disappeared.
+  const std::string path = tmp_path("journal-partial");
   std::remove(path.c_str());
   {
-    engine::SweepEngine eng({2});
     engine::SweepJournal journal(path, demo_params(), n);
-    ASSERT_EQ(
-        engine::run_resilient_indices(eng, n, {0, 1, 4}, fn, &journal, {}).ok,
-        3);
+    for (const int i : {0, 1, 4})
+      journal.append(*full.entries[static_cast<std::size_t>(i)]);
   }
 
-  // In-process takeover: reopen the worker's journal, run the rest; the
-  // preloaded entries are served bit-exactly, never recomputed.
+  // Reopen that journal and run the campaign: the preloaded entries are
+  // served bit-exactly, never recomputed.
   engine::SweepEngine eng({3});
   engine::SweepJournal journal(path, demo_params(), n);
   EXPECT_TRUE(journal.resumed());
@@ -839,34 +765,6 @@ TEST(ShardRuns, WorkerJournalResumesBitExactlyInProcess) {
   EXPECT_EQ(os.str(), golden);
   std::remove(path.c_str());
   std::remove(golden_path.c_str());
-}
-
-TEST(ShardRuns, MergeDuplicateIndexKeepsFirstPathsRecord) {
-  const int n = 2;
-  const std::string a = tmp_path("journal-dup-a");
-  const std::string b = tmp_path("journal-dup-b");
-  std::remove(a.c_str());
-  std::remove(b.c_str());
-  engine::JournalEntry first;
-  first.index = 0;
-  first.attempts = 1;
-  first.seed = 7;
-  first.metrics = demo_metrics(0);
-  engine::JournalEntry second = first;
-  second.attempts = 2;  // a retry-count divergence, as a respawn race leaves
-  {
-    engine::SweepJournal ja(a, demo_params(), n);
-    ja.append(first);
-    engine::SweepJournal jb(b, demo_params(), n);
-    jb.append(second);
-  }
-  const auto merged = engine::merge_journal_files({a, b}, demo_params(), n);
-  ASSERT_TRUE(merged[0].has_value());
-  EXPECT_EQ(merged[0]->attempts, 1);  // first path wins
-  const auto flipped = engine::merge_journal_files({b, a}, demo_params(), n);
-  EXPECT_EQ(flipped[0]->attempts, 2);
-  std::remove(a.c_str());
-  std::remove(b.c_str());
 }
 
 }  // namespace
