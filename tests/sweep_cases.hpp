@@ -4,6 +4,7 @@
 #pragma once
 
 #include <cstdint>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -57,6 +58,16 @@ struct DiffCase {
   std::vector<double> emission;
   KbaConfig cfg;
 };
+
+/// gtest names each case's ctest entry after its printed parameter. Without
+/// a printer it dumps the object's bytes, which begin with the name string's
+/// heap pointer, so the names changed from one build to the next. Print the
+/// grid and the decomposition instead: "nx x ny x nz / px x py x mk".
+inline void PrintTo(const DiffCase& c, std::ostream* os) {
+  const Problem& p = c.problem;
+  *os << p.nx << 'x' << p.ny << 'x' << p.nz << '/' << c.cfg.px << 'x'
+      << c.cfg.py << 'x' << c.cfg.mk;
+}
 
 inline std::vector<DiffCase> diff_cases() {
   std::vector<DiffCase> out;
