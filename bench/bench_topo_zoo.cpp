@@ -1,7 +1,8 @@
 // Cross-machine topology-zoo study (no paper figure; DESIGN.md §14):
 // runs the Sweep3D / HPL sweep entry points, the Fig. 10 latency sweep,
-// the parallel-DES lookahead derivation, and the degraded-route audit
-// over every requested zoo machine and prints the comparative table.
+// the cross-partition lookahead (minimum cross-CU MPI latency), and the
+// degraded-route audit over every requested zoo machine and prints the
+// comparative table.
 //
 //   --machines=a,b,c   zoo machines to study (default: all of them)
 //   --small            reduced presets (tests / CI smoke scale)

@@ -1,5 +1,8 @@
 #include "comm/fabric.hpp"
 
+#include <algorithm>
+#include <limits>
+
 #include "arch/calibration.hpp"
 #include "obs/metrics.hpp"
 #include "util/expect.hpp"
@@ -86,16 +89,14 @@ int FabricModel::min_cross_cu_hops(int cu_a, int cu_b) const {
   return best;
 }
 
-sim::PartitionGraph FabricModel::cu_partition_graph() const {
+Duration FabricModel::min_cross_cu_latency() const {
   const int cus = topo_->cu_count();
-  sim::PartitionGraph g(cus);
-  for (int a = 0; a < cus; ++a) {
-    for (int b = 0; b < cus; ++b) {
-      if (a == b) continue;
-      g.set_link(a, b, base_ + per_hop_ * min_cross_cu_hops(a, b));
-    }
-  }
-  return g;
+  if (cus < 2) return Duration::zero();
+  int best = std::numeric_limits<int>::max();
+  for (int a = 0; a < cus; ++a)
+    for (int b = 0; b < cus; ++b)
+      if (a != b) best = std::min(best, min_cross_cu_hops(a, b));
+  return base_ + per_hop_ * best;
 }
 
 Bandwidth FabricModel::average_bandwidth(topo::NodeId src, DataSize n,

@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "comm/channel.hpp"
-#include "sim/parallel_simulator.hpp"
 #include "topo/topology.hpp"
 
 namespace rr::comm {
@@ -45,14 +44,12 @@ class FabricModel {
   /// Table I, 1 + slab ring distance on a torus, 2 on a dragonfly).
   int min_cross_cu_hops(int cu_a, int cu_b) const;
 
-  /// Logical-process graph for the parallel conservative engine
-  /// (sim::ParallelSimulator): one partition per CU / torus slab /
-  /// dragonfly group, directed link
-  /// latency = the smallest zero-byte MPI latency between the two CUs
-  /// (software base + per-hop latency x min_cross_cu_hops).  Strictly
-  /// positive by construction -- this is the lookahead that lets the
-  /// window protocol make progress.
-  sim::PartitionGraph cu_partition_graph() const;
+  /// Smallest zero-byte MPI latency between nodes of two different
+  /// partitions (CU / torus slab / dragonfly group): the minimum over CU
+  /// pairs of software base + per-hop latency x min_cross_cu_hops.  This
+  /// is the topology's conservative-simulation lookahead, reported per
+  /// machine by the zoo study; zero for a single-partition machine.
+  Duration min_cross_cu_latency() const;
 
   const topo::Topology& topology() const { return *topo_; }
 

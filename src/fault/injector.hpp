@@ -18,15 +18,10 @@
 
 namespace rr::fault {
 
-/// Replays a failure schedule as DES events.  Parameterized over the
-/// clock it schedules on: anything with the serial Simulator's implicit
-/// surface (now / schedule_at / cancel) works, which is what lets the
-/// resilience studies run unchanged on one partition of the parallel
-/// engine (sim::ParallelSimulator::Partition).
-template <class SimT>
-class BasicFaultInjector {
+/// Replays a failure schedule as DES events on the serial engine.
+class FaultInjector {
  public:
-  BasicFaultInjector(SimT& sim, std::vector<FailureEvent> schedule)
+  FaultInjector(sim::Simulator& sim, std::vector<FailureEvent> schedule)
       : sim_(sim), schedule_(std::move(schedule)) {}
 
   /// Schedule every event; `on_failure` fires at each event's time.
@@ -44,12 +39,9 @@ class BasicFaultInjector {
   const std::vector<FailureEvent>& schedule() const { return schedule_; }
 
  private:
-  SimT& sim_;
+  sim::Simulator& sim_;
   std::vector<FailureEvent> schedule_;
 };
-
-/// The historical serial-engine spelling, used throughout the studies.
-using FaultInjector = BasicFaultInjector<sim::Simulator>;
 
 /// Apply one failure event to the degraded-fabric overlay.  kCrossbar
 /// event indices are CU-level crossbar ids (the id layout puts all

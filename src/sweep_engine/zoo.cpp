@@ -4,7 +4,6 @@
 #include <memory>
 
 #include "comm/fabric.hpp"
-#include "sim/parallel_simulator.hpp"
 #include "sweep_engine/studies.hpp"
 #include "topo/degraded.hpp"
 #include "topo/machines.hpp"
@@ -81,11 +80,8 @@ std::vector<MachineStudy> cross_machine_study(
       row.latency_max_us = hi;
     }
 
-    const sim::PartitionGraph graph = fabric.cu_partition_graph();
-    const std::int64_t lookahead_ps = graph.lookahead_ps();
-    row.lookahead_us = lookahead_ps == sim::PartitionGraph::kNoLink
-                           ? 0.0
-                           : static_cast<double>(lookahead_ps) * 1e-6;
+    row.lookahead_us =
+        static_cast<double>(fabric.min_cross_cu_latency().ps()) * 1e-6;
 
     row.hpl =
         parallel_hpl_study(eng, system, *t, {row.nodes}, cfg.fault).front();

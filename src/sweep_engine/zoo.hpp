@@ -50,8 +50,8 @@ struct MachineStudy {
   double latency_mean_us = 0.0;
   double latency_max_us = 0.0;
 
-  // Parallel-DES lookahead: the cu_partition_graph global minimum link
-  // latency (0 when the machine has a single partition and no links).
+  // Conservative-simulation lookahead: FabricModel::min_cross_cu_latency,
+  // the smallest cross-partition MPI latency (0 for a single partition).
   double lookahead_us = 0.0;
 
   // Whole-machine application studies through the existing engine entry

@@ -75,8 +75,8 @@ class Topology {
 
   /// Minimum crossbar hops between any node of partition `cu_a` and any
   /// node of partition `cu_b` under the deterministic routing, for
-  /// cu_a != cu_b.  Strictly positive -- this feeds the parallel-DES
-  /// lookahead (comm::FabricModel::cu_partition_graph), which must never
+  /// cu_a != cu_b.  Strictly positive -- this feeds the reported
+  /// lookahead (comm::FabricModel::min_cross_cu_latency), which must never
   /// collapse to zero.
   virtual int min_partition_hops(int cu_a, int cu_b) const = 0;
 

@@ -1,34 +1,28 @@
-// Differential fuzz harness for the DES engines (ISSUE 7 / DESIGN.md §12).
+// Differential fuzz harness for the DES engines (DESIGN.md §9).
 //
-// Each seed derives a workload -- partition count, lookahead, root
-// timers, and a behavior tree of local timers, cancels, cross-partition
-// messages, and cancel+re-arm "interrupt" patterns -- and replays it
-// through three engines:
+// Each seed derives a workload -- logical-process count, cross-process
+// latency, root timers, and a behavior tree of local timers, cancels,
+// cross-process messages, and cancel+re-arm "interrupt" patterns -- and
+// replays it through two engines:
 //
 //   * sim::ReferenceSimulator  (the pre-rebuild linear-scan oracle)
 //   * sim::Simulator           (the serial tombstone heap)
-//   * sim::ParallelSimulator   at 1, 2, 4, and 8 threads
 //
-// asserting bit-identical event order (time AND marker, in global
-// execution order), final per-partition state hashes, executed-event
-// counts, and final clocks.  Every decision the workload makes is a pure
-// function of (seed, event marker), never of wall-clock, thread
-// interleaving, or shared mutable RNG state -- so any divergence is an
-// engine-ordering bug, not harness noise.  The failing seed is printed
-// so the exact workload replays under a debugger.
+// asserting bit-identical event order (time AND marker, in execution
+// order), final per-process state hashes, executed-event counts, and
+// final clocks.  Every decision the workload makes is a pure function of
+// (seed, event marker), never of wall-clock or shared mutable RNG state
+// -- so any divergence is an engine-ordering bug, not harness noise.
+// The failing seed is printed so the exact workload replays under a
+// debugger.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <unordered_map>
 #include <utility>
 #include <vector>
 
-#include "comm/fabric.hpp"
-#include "sim/parallel_simulator.hpp"
-#include "topo/machines.hpp"
 #include "sim/reference_simulator.hpp"
 #include "sim/simulator.hpp"
 #include "util/rng.hpp"
@@ -62,7 +56,8 @@ struct Workload {
     w.partitions = 1 + static_cast<int>(hash2(seed, 1) % 4);     // 1..4
     w.roots = 12 + static_cast<int>(hash2(seed, 2) % 20);        // 12..31
     w.depth = 3 + static_cast<int>(hash2(seed, 3) % 3);          // 3..5
-    // Small lookahead => many windows; large => few.  Stress both.
+    // Cross-process latency floor: small values interleave cross
+    // messages densely with local timers, large ones sparsely.
     static constexpr std::int64_t kLookaheads[] = {1, 9, 64, 913};
     w.lookahead_ps = kLookaheads[hash2(seed, 4) % 4];
     return w;
@@ -70,10 +65,10 @@ struct Workload {
 };
 
 // ---------------------------------------------------------------------------
-// Engine adapters.  The serial engines emulate P partitions on one shared
-// clock (a cross-partition send is just a schedule with the same absolute
-// firing time); the parallel adapter uses real partitions.  Every adapter
-// produces the run's event log in GLOBAL execution order.
+// Engine adapter.  Both engines emulate P logical processes on one shared
+// clock: a cross-process send is just a schedule with the same absolute
+// firing time.  The adapter records the run's event log in execution
+// order.
 // ---------------------------------------------------------------------------
 
 struct LogRecord {
@@ -85,8 +80,6 @@ struct LogRecord {
 template <class SimT>
 class SharedClockAdapter {
  public:
-  explicit SharedClockAdapter(const Workload&) {}
-
   TimePoint now(int) const { return sim_.now(); }
   std::uint64_t schedule(int, Duration d, std::function<void()> fn) {
     return sim_.schedule(d, std::move(fn));
@@ -106,66 +99,6 @@ class SharedClockAdapter {
  private:
   SimT sim_;
   std::vector<LogRecord> log_;
-};
-
-class ParallelAdapter {
- public:
-  ParallelAdapter(const Workload& w, int threads)
-      : ParallelAdapter(w, threads, make_graph(w)) {}
-
-  /// Run on an externally derived partition graph (e.g. a machine's
-  /// comm::FabricModel::cu_partition_graph) instead of the synthetic
-  /// all-pairs one.  The workload's lookahead_ps must be >= every link's
-  /// min delay so each cross send stays legal on its link.
-  ParallelAdapter(const Workload& w, int threads, rr::sim::PartitionGraph g)
-      : engine_(std::move(g), threads), marks_(w.partitions) {
-    engine_.set_log_enabled(true);
-  }
-
-  TimePoint now(int part) const { return engine_.partition(part).now(); }
-  std::uint64_t schedule(int part, Duration d, std::function<void()> fn) {
-    return engine_.partition(part).schedule(d, std::move(fn));
-  }
-  void send(int src, int dst, Duration d, std::function<void()> fn) {
-    engine_.partition(src).send(dst, d, std::move(fn));
-  }
-  void cancel(int part, std::uint64_t id) {
-    engine_.partition(part).cancel(id);
-  }
-  void record(int part, std::int64_t, std::uint64_t marker) {
-    // Partition-local, single-threaded within a partition: safe.
-    marks_[static_cast<std::size_t>(part)].push_back(marker);
-  }
-  void run() { engine_.run(); }
-
-  /// Rebuild the global order from the engine's merged log: entry i is
-  /// the i-th event to commit globally, identified by (partition,
-  /// partition-local ordinal); the marker vector indexed by ordinal
-  /// supplies the payload identity.
-  std::vector<LogRecord> ordered_log() const {
-    std::vector<LogRecord> out;
-    out.reserve(engine_.log().size());
-    for (const auto& e : engine_.log()) {
-      const auto& pm = marks_[static_cast<std::size_t>(e.partition)];
-      EXPECT_LT(e.local_ordinal, pm.size());
-      if (e.local_ordinal >= pm.size()) break;
-      out.push_back(LogRecord{e.at_ps, pm[e.local_ordinal]});
-    }
-    return out;
-  }
-  std::uint64_t events_run() const { return engine_.events_run(); }
-  std::int64_t final_now_ps() const { return engine_.now().ps(); }
-  const rr::sim::ParallelSimStats& stats() const { return engine_.stats(); }
-
- private:
-  static rr::sim::PartitionGraph make_graph(const Workload& w) {
-    rr::sim::PartitionGraph g(w.partitions);
-    g.set_all_links(Duration::picoseconds(w.lookahead_ps));
-    return g;
-  }
-
-  rr::sim::ParallelSimulator engine_;
-  std::vector<std::vector<std::uint64_t>> marks_;  // partition -> ordinal -> marker
 };
 
 // ---------------------------------------------------------------------------
@@ -277,9 +210,9 @@ struct EngineResult {
   std::int64_t final_now_ps = 0;
 };
 
-template <class Adapter, class... CtorArgs>
-EngineResult replay(std::uint64_t seed, const Workload& w, CtorArgs&&... args) {
-  Adapter ad(w, std::forward<CtorArgs>(args)...);
+template <class Adapter>
+EngineResult replay(std::uint64_t seed, const Workload& w) {
+  Adapter ad;
   Driver<Adapter> drv(seed, w, ad);
   drv.schedule_roots();
   drv.run();
@@ -329,87 +262,9 @@ TEST_P(DesDiff, AllEnginesBitIdentical) {
 
   const EngineResult serial = replay<SerialAdapter>(seed, w);
   expect_identical(ref, serial, seed, "serial Simulator");
-
-  for (const int threads : {1, 2, 4, 8}) {
-    const EngineResult par = replay<ParallelAdapter>(seed, w, threads);
-    expect_identical(serial, par, seed,
-                     threads == 1   ? "parallel@1"
-                     : threads == 2 ? "parallel@2"
-                     : threads == 4 ? "parallel@4"
-                                    : "parallel@8");
-  }
 }
 
 // >= 200 seeded workloads (acceptance floor for the corpus).
 INSTANTIATE_TEST_SUITE_P(Corpus, DesDiff, ::testing::Range(0, 200));
-
-// The synchronization counters are simulated-work facts, so they must be
-// identical at every thread count, not merely the event order.
-TEST(DesDiffStats, WindowCountersIndependentOfThreads) {
-  const std::uint64_t seed = 424242;
-  Workload w = Workload::from_seed(seed);
-  w.partitions = 4;
-  w.lookahead_ps = 9;
-
-  std::vector<rr::sim::ParallelSimStats> stats;
-  for (const int threads : {1, 2, 4, 8}) {
-    ParallelAdapter ad(w, threads);
-    Driver<ParallelAdapter> drv(seed, w, ad);
-    drv.schedule_roots();
-    drv.run();
-    stats.push_back(ad.stats());
-  }
-  for (std::size_t i = 1; i < stats.size(); ++i) {
-    EXPECT_EQ(stats[0].windows, stats[i].windows);
-    EXPECT_EQ(stats[0].null_messages, stats[i].null_messages);
-    EXPECT_EQ(stats[0].lookahead_stalls, stats[i].lookahead_stalls);
-    EXPECT_EQ(stats[0].cross_messages, stats[i].cross_messages);
-    EXPECT_EQ(stats[0].events_run, stats[i].events_run);
-    EXPECT_EQ(stats[0].cancelled_run, stats[i].cancelled_run);
-  }
-  EXPECT_GT(stats[0].windows, 1u);
-  EXPECT_GT(stats[0].cross_messages, 0u);
-}
-
-// A real machine's partition graph, not the synthetic all-pairs one: the
-// torus lookahead that comm::FabricModel::cu_partition_graph derives
-// from Topology::min_partition_hops must drive the parallel engine to
-// the same bit-identical merge the serial oracle produces.  The graph is
-// heterogeneous (ring distance varies per slab pair), so this also
-// exercises per-link lookahead rather than one global constant.
-TEST(DesDiffTopology, TorusPartitionGraphBitIdenticalToSerial) {
-  const std::unique_ptr<rr::topo::Topology> t =
-      rr::topo::make_machine("qpace-torus", /*small=*/true);
-  const rr::comm::FabricModel fabric(*t);
-  const rr::sim::PartitionGraph g = fabric.cu_partition_graph();
-  ASSERT_EQ(g.partitions(), t->cu_count());
-  ASSERT_GT(g.partitions(), 1);
-
-  std::int64_t max_link_delay_ps = 0;
-  for (int a = 0; a < g.partitions(); ++a)
-    for (int b = 0; b < g.partitions(); ++b) {
-      if (a == b) continue;
-      ASSERT_TRUE(g.has_link(a, b));
-      ASSERT_GT(g.min_delay_ps(a, b), 0);
-      max_link_delay_ps = std::max(max_link_delay_ps, g.min_delay_ps(a, b));
-    }
-  ASSERT_GT(g.lookahead_ps(), 0);
-
-  Workload w;
-  w.partitions = g.partitions();
-  w.roots = 24;
-  w.depth = 4;
-  // Every cross send's delay is lookahead_ps + jitter, so pinning it to
-  // the slowest link keeps each send legal on whichever link it takes.
-  w.lookahead_ps = max_link_delay_ps;
-
-  const std::uint64_t seed = 0x70905ULL;
-  const EngineResult serial = replay<SerialAdapter>(seed, w);
-  ASSERT_GT(serial.events_run, 0u);
-  for (const int threads : {1, 2, 4, 8}) {
-    const EngineResult par = replay<ParallelAdapter>(seed, w, threads, g);
-    expect_identical(serial, par, seed, "parallel@torus-graph");
-  }
-}
 
 }  // namespace

@@ -88,6 +88,14 @@ struct LatencyCase {
   double pxc_expected;
 };
 
+/// gtest names each case's ctest entry after its printed parameter; without
+/// a printer it dumps the struct's bytes, padding included, so the names
+/// could change from one build to the next.
+void PrintTo(const LatencyCase& c, std::ostream* os) {
+  *os << kIClassNames[static_cast<int>(c.cls)] << " cbe=" << c.cbe_expected
+      << " pxc=" << c.pxc_expected;
+}
+
 class LatencyFig4 : public ::testing::TestWithParam<LatencyCase> {};
 
 TEST_P(LatencyFig4, MicrobenchmarkRecoversLatency) {
