@@ -34,6 +34,12 @@ Rng component_rng(std::uint64_t seed, Component kind, int index) {
   return Rng{h};
 }
 
+/// The system-level stream: one SplitMix64 step from the seed.
+Rng system_rng(std::uint64_t seed) {
+  std::uint64_t s = seed;
+  return Rng{splitmix64(s)};
+}
+
 void append_component_failures(std::vector<FailureEvent>& out,
                                Component kind, int index, double mtbf_h,
                                double shape, double horizon_h,
@@ -139,20 +145,26 @@ std::vector<FailureEvent> generate_schedule(const ComponentCounts& counts,
   return events;
 }
 
-std::vector<Duration> generate_system_schedule(double mtbf_h, Duration horizon,
-                                               std::uint64_t seed) {
+SystemFailureStream::SystemFailureStream(double mtbf_h, Duration horizon,
+                                         std::uint64_t seed)
+    : rng_(system_rng(seed)),
+      mtbf_h_(mtbf_h),
+      horizon_h_(horizon.sec() / kSecondsPerHour) {
   RR_EXPECTS(mtbf_h > 0.0);
   RR_EXPECTS(horizon > Duration::zero());
-  std::uint64_t s = seed;
-  Rng rng{splitmix64(s)};
+}
+
+std::optional<Duration> SystemFailureStream::next() {
+  t_h_ += draw_interarrival_h(rng_, mtbf_h_, 1.0);
+  if (t_h_ >= horizon_h_) return std::nullopt;
+  return Duration::seconds(t_h_ * kSecondsPerHour);
+}
+
+std::vector<Duration> generate_system_schedule(double mtbf_h, Duration horizon,
+                                               std::uint64_t seed) {
+  SystemFailureStream stream(mtbf_h, horizon, seed);
   std::vector<Duration> out;
-  const double horizon_h = horizon.sec() / kSecondsPerHour;
-  double t_h = 0.0;
-  while (true) {
-    t_h += draw_interarrival_h(rng, mtbf_h, 1.0);
-    if (t_h >= horizon_h) break;
-    out.push_back(Duration::seconds(t_h * kSecondsPerHour));
-  }
+  while (const std::optional<Duration> at = stream.next()) out.push_back(*at);
   return out;
 }
 

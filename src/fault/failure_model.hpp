@@ -15,10 +15,12 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <utility>
 #include <vector>
 
 #include "topo/topology.hpp"
+#include "util/rng.hpp"
 #include "util/units.hpp"
 
 namespace rr::fault {
@@ -77,11 +79,28 @@ std::vector<FailureEvent> generate_schedule(const ComponentCounts& counts,
                                             Duration horizon,
                                             std::uint64_t seed);
 
-/// System-level failure times in [0, horizon): the superposition of all
-/// exponential component processes collapsed into one Poisson stream with
-/// the aggregate rate.  Statistically identical to generate_schedule for
-/// shape 1.0 and O(events) instead of O(components) -- what the
-/// Monte-Carlo studies use.
+/// System-level failure times in [0, horizon), drawn one at a time: the
+/// superposition of all exponential component processes collapsed into
+/// one Poisson stream with the aggregate rate.  Statistically identical to
+/// generate_schedule for shape 1.0 and O(events) instead of O(components).
+/// A Monte-Carlo replication pulls only the failures it reaches, without
+/// allocating.
+class SystemFailureStream {
+ public:
+  SystemFailureStream(double mtbf_h, Duration horizon, std::uint64_t seed);
+
+  /// The next failure time (nondecreasing), or nullopt once the horizon
+  /// is reached and from then on.
+  std::optional<Duration> next();
+
+ private:
+  Rng rng_;
+  double mtbf_h_;
+  double horizon_h_;
+  double t_h_ = 0.0;
+};
+
+/// Every failure of SystemFailureStream(mtbf_h, horizon, seed).
 std::vector<Duration> generate_system_schedule(double mtbf_h, Duration horizon,
                                                std::uint64_t seed);
 

@@ -1,7 +1,8 @@
 // Wiring failure schedules into the rest of the system: schedules onto
-// the DES clock (sim/interrupt.hpp processes get interrupted), onto the
-// degraded fabric (topo/degraded.hpp loses crossbars/cables/nodes), and
-// into Monte-Carlo replays of checkpointed runs.
+// the DES clock (FaultInjector), onto the degraded fabric
+// (topo/degraded.hpp loses crossbars/cables/nodes), and into Monte-Carlo
+// replays of checkpointed runs (a renewal walk that sim/interrupt.hpp's
+// DES process checks in the tests).
 #pragma once
 
 #include <cstdint>
@@ -50,21 +51,22 @@ class FaultInjector {
 void apply_to_fabric(topo::DegradedTopology& fabric, const FailureEvent& ev,
                      const std::vector<std::pair<int, int>>& cables);
 
-/// One DES replay: run `plan` under system-level failure times; every
-/// failure interrupts the process (losing any node aborts an MPI-style
-/// job).  Failures stop arriving when the schedule drains, so the run
-/// always completes.
+/// One replay of `plan` under system-level failure times; every failure
+/// interrupts the process (losing any node aborts an MPI-style job).
+/// Failures stop arriving when the schedule drains, so the run always
+/// completes.  The result is bitwise what sim::InterruptibleProcess gives
+/// on a sim::Simulator with the failures scheduled after start(), but it
+/// is computed as a renewal walk, without a simulator.
 sim::RestartStats run_interrupted(const sim::RestartPlan& plan,
                                   const std::vector<Duration>& failures);
 
 /// Monte-Carlo estimate of the expected makespan of `plan` on a machine
 /// with system MTBF `mtbf_h`: mean over `replications` independent
-/// system-level schedules with seeds derived from `seed`.  Deterministic
-/// for a given seed.
+/// SystemFailureStream schedules with seeds derived from `seed`, each
+/// replayed as run_interrupted would.  Deterministic for a given seed.
 struct MonteCarloResult {
   double mean_makespan_s = 0.0;
   double mean_failures = 0.0;
-  double completion_rate = 1.0;
   int replications = 0;
 };
 MonteCarloResult expected_interrupted_makespan(const sim::RestartPlan& plan,

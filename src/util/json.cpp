@@ -353,16 +353,13 @@ void Json::push_back(Json v) {
 }
 
 void Json::write(std::ostream& os, int indent, int depth) const {
-  const std::string pad =
-      indent >= 0 ? "\n" + std::string(static_cast<std::size_t>(indent) *
-                                           (static_cast<std::size_t>(depth) + 1),
-                                       ' ')
-                  : "";
-  const std::string closing =
-      indent >= 0
-          ? "\n" + std::string(
-                       static_cast<std::size_t>(indent) * static_cast<std::size_t>(depth), ' ')
-          : "";
+  // closing = newline + depth indents; pad = closing + one more indent.
+  std::string closing, pad;
+  if (indent >= 0) {
+    const auto width = static_cast<std::size_t>(indent);
+    closing.append(1, '\n').append(width * static_cast<std::size_t>(depth), ' ');
+    pad.append(closing).append(width, ' ');
+  }
   const char* sep = indent >= 0 ? ": " : ":";
   switch (kind_) {
     case Kind::kNull: os << "null"; break;

@@ -2,7 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <initializer_list>
+#include <optional>
 #include <set>
+#include <vector>
 
 #include "topo/fat_tree.hpp"
 #include "arch/spec.hpp"
@@ -15,6 +19,7 @@
 #include "io/io_model.hpp"
 #include "sim/interrupt.hpp"
 #include "topo/degraded.hpp"
+#include "util/rng.hpp"
 
 namespace rr::fault {
 namespace {
@@ -110,6 +115,40 @@ TEST(FailureSchedule, SystemScheduleMatchesAggregateRate) {
       generate_system_schedule(2.0, Duration::seconds(2000 * 3600.0), 11);
   const double mean_h = 2000.0 / static_cast<double>(events.size());
   EXPECT_NEAR(mean_h, 2.0, 0.2);
+}
+
+// The system-level draw written out independently of failure_model.cpp:
+// SplitMix64-seeded xoshiro, exponential inter-arrivals in hours, times
+// rounded onto the picosecond grid, nothing at or past the horizon.
+std::vector<Duration> reference_system_schedule(double mtbf_h,
+                                                Duration horizon,
+                                                std::uint64_t seed) {
+  std::uint64_t s = seed;
+  Rng rng{splitmix64(s)};
+  std::vector<Duration> out;
+  for (double t_h = 0.0;;) {
+    t_h += mtbf_h * -std::log1p(-rng.next_double());
+    if (t_h >= horizon.sec() / 3600.0) return out;
+    out.push_back(Duration::seconds(t_h * 3600.0));
+  }
+}
+
+TEST(FailureSchedule, LazyStreamYieldsExactlyTheSystemSchedule) {
+  for (const double horizon_h : {3.0, 400.0}) {
+    const Duration horizon = Duration::seconds(horizon_h * 3600.0);
+    for (std::uint64_t seed = 0; seed < 20; ++seed) {
+      const std::vector<Duration> schedule =
+          generate_system_schedule(1.5, horizon, seed);
+      ASSERT_EQ(schedule, reference_system_schedule(1.5, horizon, seed))
+          << "seed " << seed;
+      SystemFailureStream stream(1.5, horizon, seed);
+      for (const Duration at : schedule)
+        ASSERT_EQ(stream.next(), std::optional<Duration>{at}) << "seed " << seed;
+      // Exhausted at the horizon, and it stays exhausted.
+      EXPECT_EQ(stream.next(), std::nullopt) << "seed " << seed;
+      EXPECT_EQ(stream.next(), std::nullopt) << "seed " << seed;
+    }
+  }
 }
 
 TEST(SystemMtbf, HarmonicAggregation) {
@@ -254,7 +293,6 @@ TEST(MonteCarlo, DesMeanMatchesYoungDalyAnalytic) {
   const double analytic = expected_makespan_s(w, tau, c, r, m);
   EXPECT_NEAR(mc.mean_makespan_s / analytic, 1.0, 0.03);
   EXPECT_GT(mc.mean_failures, 1.0);
-  EXPECT_EQ(mc.completion_rate, 1.0);
 }
 
 TEST(MonteCarlo, DeterministicForAGivenSeed) {
@@ -264,6 +302,150 @@ TEST(MonteCarlo, DeterministicForAGivenSeed) {
   const MonteCarloResult b = expected_interrupted_makespan(plan, 1.5, 200, 9);
   EXPECT_EQ(a.mean_makespan_s, b.mean_makespan_s);
   EXPECT_EQ(a.mean_failures, b.mean_failures);
+}
+
+// ---------------------------------------------------------------------------
+// Renewal walk vs. the DES oracle
+// ---------------------------------------------------------------------------
+
+/// The DES replay that run_interrupted reproduces: the process starts
+/// first, then every failure is scheduled.
+sim::RestartStats des_replay(const sim::RestartPlan& plan,
+                             const std::vector<Duration>& failures) {
+  sim::Simulator sim;
+  sim::InterruptibleProcess proc(sim, plan);
+  proc.start();
+  for (const Duration& at : failures)
+    sim.schedule_at(TimePoint::origin() + at, [&proc] { proc.interrupt(); });
+  sim.run();
+  EXPECT_TRUE(proc.done());
+  return proc.stats();
+}
+
+::testing::AssertionResult same_stats(const sim::RestartStats& walk,
+                                      const sim::RestartStats& des) {
+  const auto field = [](const char* name, std::int64_t w, std::int64_t d) {
+    return ::testing::AssertionFailure()
+           << name << ": walk " << w << " vs DES " << d;
+  };
+  if (walk.makespan != des.makespan)
+    return field("makespan ps", walk.makespan.ps(), des.makespan.ps());
+  if (walk.lost_work != des.lost_work)
+    return field("lost_work ps", walk.lost_work.ps(), des.lost_work.ps());
+  if (walk.checkpoint_time != des.checkpoint_time)
+    return field("checkpoint_time ps", walk.checkpoint_time.ps(),
+                 des.checkpoint_time.ps());
+  if (walk.restart_time != des.restart_time)
+    return field("restart_time ps", walk.restart_time.ps(),
+                 des.restart_time.ps());
+  if (walk.failures != des.failures)
+    return field("failures", walk.failures, des.failures);
+  if (walk.checkpoints != des.checkpoints)
+    return field("checkpoints", walk.checkpoints, des.checkpoints);
+  if (walk.completed != des.completed)
+    return field("completed", walk.completed, des.completed);
+  return ::testing::AssertionSuccess();
+}
+
+sim::RestartPlan plan_s(double work, double interval, double checkpoint,
+                        double restart) {
+  return {Duration::seconds(work), Duration::seconds(interval),
+          Duration::seconds(checkpoint), Duration::seconds(restart)};
+}
+
+std::vector<Duration> at_seconds(std::initializer_list<double> secs) {
+  std::vector<Duration> out;
+  for (const double s : secs) out.push_back(Duration::seconds(s));
+  return out;
+}
+
+struct TieCase {
+  const char* what;
+  sim::RestartPlan plan;
+  std::vector<Duration> failures;
+  double makespan_s;
+  int failures_taken;
+};
+
+TEST(RenewalWalk, HandWrittenTiesMatchTheDes) {
+  // W = 100, tau = 30, C = 5, R = 10: segments end at 35, 70, 105, 120.
+  const sim::RestartPlan p = plan_s(100, 30, 5, 10);
+  const sim::RestartPlan free_ckpt = plan_s(100, 30, 0, 0);
+  const std::vector<TieCase> cases = {
+      {"no failures", p, {}, 120, 0},
+      {"at t = 0", p, at_seconds({0}), 130, 1},
+      // The first segment's end wins; the failure then hits segment 2
+      // as it starts and loses nothing.
+      {"at the first segment end", p, at_seconds({35}), 130, 1},
+      // A later segment's end loses: the whole 35 s segment is lost.
+      {"at a later segment end", p, at_seconds({70}), 165, 1},
+      // The restart's end loses: the reboot starts over at 60.
+      {"at a restart end", p, at_seconds({50, 60}), 155, 2},
+      {"mid restart", p, at_seconds({50, 55}), 150, 2},
+      {"after completion", p, at_seconds({121, 500}), 120, 0},
+      {"single segment, at its end", plan_s(10, 10, 1, 5), at_seconds({11}),
+       11, 0},
+      // C = 0 and R = 0: two failures at the first segment end, both
+      // taken after it commits (the second mid-reboot, zero cost), then
+      // one at segment 2's end that discards it.
+      {"C = 0, R = 0 ties", free_ckpt, at_seconds({30, 30, 60}), 130, 3},
+      {"C = 0, R = 0 unsorted", free_ckpt, at_seconds({60, 30, 30}), 130, 3},
+      {"C = 0, R = 0 at t = 0 twice", free_ckpt, at_seconds({0, 0}), 100, 2},
+  };
+  for (const TieCase& c : cases) {
+    const sim::RestartStats walk = run_interrupted(c.plan, c.failures);
+    EXPECT_TRUE(same_stats(walk, des_replay(c.plan, c.failures))) << c.what;
+    EXPECT_EQ(walk.makespan.ps(), Duration::seconds(c.makespan_s).ps()) << c.what;
+    EXPECT_EQ(walk.failures, c.failures_taken) << c.what;
+    EXPECT_TRUE(walk.completed) << c.what;
+  }
+}
+
+TEST(RenewalWalk, SeededIntegerGridPlansMatchTheDesBitwise) {
+  // Whole-second plans and failure times make exact ties common: with
+  // segment ends, restart ends and other failures, and C = 0 / R = 0.
+  Rng rng{20260};
+  const auto secs = [&rng](std::uint64_t lo, std::uint64_t hi) {
+    return Duration::seconds(static_cast<double>(lo + rng.next_below(hi - lo + 1)));
+  };
+  for (int i = 0; i < 20000; ++i) {
+    const sim::RestartPlan plan{secs(1, 120), secs(1, 40), secs(0, 6),
+                                secs(0, 12)};
+    std::vector<Duration> failures(rng.next_below(25));
+    for (Duration& at : failures) at = secs(0, 240);
+    ASSERT_TRUE(same_stats(run_interrupted(plan, failures),
+                           des_replay(plan, failures)))
+        << "case " << i;
+  }
+}
+
+TEST(RenewalWalk, MonteCarloMeansMatchADesReplayOfEachReplication) {
+  for (const sim::RestartPlan& plan :
+       {plan_s(5000, 800, 50, 200), plan_s(36000, 1800, 120, 600)}) {
+    const double mtbf_h = 1.5;
+    const int replications = 300;
+    const std::uint64_t seed = 77;
+    // The horizon expected_interrupted_makespan draws failures up to.
+    const Duration horizon = Duration::seconds(
+        expected_makespan_s(plan.work.sec(), plan.interval.sec(),
+                            plan.checkpoint.sec(), plan.restart.sec(),
+                            mtbf_h * 3600.0) *
+            10.0 +
+        1.0);
+    double makespan_sum = 0.0, failure_sum = 0.0;
+    for (int r = 0; r < replications; ++r) {
+      std::uint64_t s = seed + static_cast<std::uint64_t>(r);
+      const sim::RestartStats des = des_replay(
+          plan, generate_system_schedule(mtbf_h, horizon, splitmix64(s)));
+      makespan_sum += des.makespan.sec();
+      failure_sum += des.failures;
+    }
+    const MonteCarloResult mc =
+        expected_interrupted_makespan(plan, mtbf_h, replications, seed);
+    EXPECT_EQ(mc.mean_makespan_s, makespan_sum / replications);
+    EXPECT_EQ(mc.mean_failures, failure_sum / replications);
+    EXPECT_GT(mc.mean_failures, 0.5);
+  }
 }
 
 // ---------------------------------------------------------------------------
